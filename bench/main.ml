@@ -244,6 +244,54 @@ let core_ops () =
       ~send:(fun ~dst:_ _ -> ())
       ()
   in
+  (* Miss path: every run offers 100 identifiers the node has never seen
+     to a v=100 view, so the seen-cache admits all of them and every
+     (slot, id) pair is ranked — the shape of flood traffic.  The node
+     is rebuilt every 1000 runs so its seen-cache stays bounded. *)
+  let fresh_node () =
+    Basalt_core.Basalt.create
+      ~config:(Basalt_core.Config.make ~v:100 ())
+      ~id:(Basalt_proto.Node_id.of_int max_int)
+      ~bootstrap:[||] ~rng
+      ~send:(fun ~dst:_ _ -> ())
+      ()
+  in
+  let fresh = ref (fresh_node ()) and fresh_runs = ref 0 in
+  let fresh_ids = Array.make 100 (Basalt_proto.Node_id.of_int 0) in
+  let update_fresh () =
+    if !fresh_runs = 1000 then begin
+      fresh := fresh_node ();
+      fresh_runs := 0
+    end;
+    let base = 100 * !fresh_runs in
+    incr fresh_runs;
+    for j = 0 to 99 do
+      fresh_ids.(j) <- Basalt_proto.Node_id.of_int (base + j)
+    done;
+    Basalt_core.Basalt.update_sample !fresh fresh_ids
+  in
+  (* Brahms has no seen-cache: a pull reply ranks every id against every
+     sampler.  The reply also lands in the round's pending-pull list, so
+     the node is rebuilt every 1000 runs to keep that list bounded. *)
+  let brahms_node () =
+    Basalt_brahms.Brahms.create
+      ~config:(Basalt_brahms.Brahms_config.make ~l:100 ())
+      ~id:(Basalt_proto.Node_id.of_int max_int)
+      ~bootstrap:[||] ~rng
+      ~send:(fun ~dst:_ _ -> ())
+      ()
+  in
+  let brahms = ref (brahms_node ()) and brahms_runs = ref 0 in
+  let reply = Basalt_proto.Message.Pull_reply (Array.init 100 Basalt_proto.Node_id.of_int) in
+  let replier = Basalt_proto.Node_id.of_int 100 in
+  let brahms_pull_reply () =
+    if !brahms_runs = 1000 then begin
+      brahms := brahms_node ();
+      brahms_runs := 0
+    end;
+    incr brahms_runs;
+    Basalt_brahms.Brahms.on_message !brahms ~from:replier reply
+  in
   let siphash_key = Basalt_hashing.Siphash.key_of_rng rng in
   let cheap_seed = Rank.of_int Rank.Cheap 42 in
   let keyed_seed = Rank.of_int (Rank.Keyed_cheap 0x2545F4914F6CDD1D) 42 in
@@ -255,6 +303,10 @@ let core_ops () =
          a node re-digesting pull replies between slot resets. *)
       Test.make ~name:"update_sample (v=160, 161 ids)"
         (Staged.stage (fun () -> Basalt_core.Basalt.update_sample basalt ids));
+      Test.make ~name:"update_sample fresh ids (v=100, 100 ids)"
+        (Staged.stage update_fresh);
+      Test.make ~name:"brahms pull_reply feed (l=100, 100 ids)"
+        (Staged.stage brahms_pull_reply);
       Test.make ~name:"sample_tick (v=160, k=80)"
         (Staged.stage (fun () -> ignore (Basalt_core.Basalt.sample_tick basalt)));
       Test.make ~name:"rank (cheap mixer)"

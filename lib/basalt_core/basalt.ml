@@ -3,39 +3,16 @@ module Message = Basalt_proto.Message
 module Rps = Basalt_proto.Rps
 module Rng = Basalt_prng.Rng
 module Obs = Basalt_obs.Obs
-module Rank = Basalt_hashing.Rank
 
-(* Slot state lives in parallel struct-of-arrays form: slot [i] is
-   [(seeds.(i), holders.(i), best_ranks.(i), uses.(i), stamps.(i))].
-   The batched [update_sample] iterates slot-major over these flat int
-   arrays — branch-light, cache-friendly, and allocation-free — instead
-   of chasing one heap record per slot (DESIGN.md §4).
-
-   On top of the layout sits a rank-work cache: [clock] counts slot
-   resets, [stamps.(i)] records the clock value at which slot [i]'s seed
-   was drawn, and [seen] maps a candidate identifier to the clock value
-   at which it was last offered to *all* slots.  Offering a candidate to
-   an unchanged slot is a no-op (the slot's best rank only decreases
-   between resets, so a re-offer can never install), hence a candidate
-   seen at clock [s] only needs rank evaluations against slots with
-   [stamps.(i) > s] — each candidate is hashed once per *seed*, not once
-   per call.  Rank values themselves are exactly the uncached ones; the
+(* The slots are a flat sampler bank with the seen-cache on
+   (DESIGN.md §4): each candidate is ranked once per seed, not once per
+   offer, and rank values are exactly the uncached ones — the
    differential oracle in test_basalt.ml pins the equivalence. *)
 type t = {
   config : Config.t;
   id : Node_id.t;
-  self : int;  (* Node_id.to_int id, for the exclude_self fast path *)
-  seeds : Rank.seed array;
-  holders : int array;  (* holders.(i) < 0 means slot i is empty *)
-  best_ranks : int array;  (* max_int when empty *)
+  bank : Sampler_bank.t;
   uses : int array;  (* exchanges served since last reset (Least_used) *)
-  stamps : int array;  (* clock value at which the slot's seed was drawn *)
-  mutable clock : int;  (* total slot resets so far *)
-  seen : (int, int) Hashtbl.t;  (* candidate id -> clock at last offer *)
-  (* Reusable batch scratch for update_sample (grown on demand). *)
-  mutable batch_raw : int array;
-  mutable batch_digest : int array;
-  mutable batch_since : int array;
   rng : Rng.t;
   send : Rps.send;
   mutable next_reset : int;  (* round-robin pointer r, 0-based *)
@@ -63,129 +40,31 @@ type t = {
 let config t = t.config
 let id t = t.id
 
-(* Past this size the seen-cache is swept of entries older than every
-   slot's seed (they carry no information: such a candidate needs
-   re-evaluation everywhere, same as an absent entry).  Round-robin
-   resets cycle through all v slots every v/k ticks, so entries go stale
-   at protocol speed and the cache stays O(candidates per slot
-   lifetime). *)
-let seen_prune_threshold t = (16 * Array.length t.holders) + 64
-
-let prune_seen t =
-  if Hashtbl.length t.seen > seen_prune_threshold t then begin
-    let min_stamp =
-      Array.fold_left (fun acc s -> Int.min acc s) max_int t.stamps
-    in
-    Hashtbl.filter_map_inplace
-      (fun _ s -> if Int.compare s min_stamp < 0 then None else Some s)
-      t.seen
-  end
-
-let ensure_batch_capacity t n =
-  if Array.length t.batch_raw < n then begin
-    let cap = Int.max n (2 * Array.length t.batch_raw) in
-    t.batch_raw <- Array.make cap 0;
-    t.batch_digest <- Array.make cap 0;
-    t.batch_since <- Array.make cap (-1)
-  end
-
+(* Rank evaluations actually performed after dedup and seen-cache
+   elision — not candidates × slots (DESIGN.md §8). *)
 let update_sample t ids =
-  let n = Array.length ids in
-  if n > 0 then begin
-    ensure_batch_capacity t n;
-    let skip_self = t.config.Config.exclude_self in
-    let raw = t.batch_raw
-    and dig = t.batch_digest
-    and since = t.batch_since in
-    (* Intake pass: drop self, dedup within the batch, and skip any
-       candidate already offered to every current seed (pull replies
-       routinely repeat ids across rounds, and the sender rides along as
-       its own one-element batch).  Survivors are prepared once —
-       identifier-side digest hoisted out of the slot loop. *)
-    let len = ref 0 in
-    for idx = 0 to n - 1 do
-      let cand = Node_id.to_int (Array.unsafe_get ids idx) in
-      if not (skip_self && Int.equal cand t.self) then begin
-        let last =
-          match Hashtbl.find_opt t.seen cand with Some s -> s | None -> -1
-        in
-        if Int.compare last t.clock < 0 then begin
-          let j = !len in
-          Array.unsafe_set raw j cand;
-          Array.unsafe_set dig j (Rank.digest cand);
-          Array.unsafe_set since j last;
-          Hashtbl.replace t.seen cand t.clock;
-          incr len
-        end
-      end
-    done;
-    let len = !len in
-    if len > 0 then begin
-      let seeds = t.seeds
-      and holders = t.holders
-      and best = t.best_ranks
-      and stamps = t.stamps in
-      let evals = ref 0 in
-      (* Slot-major pass: per slot, one seed load, then a tight scan of
-         the prepared candidates.  A candidate last offered at clock [s]
-         is evaluated only against seeds drawn after [s]. *)
-      for i = 0 to Array.length seeds - 1 do
-        let seed = Array.unsafe_get seeds i in
-        let stamp_i = Array.unsafe_get stamps i in
-        for j = 0 to len - 1 do
-          (* lint: allow D4 — int stamps; a compare call would slow the hot path *)
-          if stamp_i > Array.unsafe_get since j then begin
-            incr evals;
-            let r =
-              Rank.rank_digested seed ~id:(Array.unsafe_get raw j)
-                ~digest:(Array.unsafe_get dig j)
-            in
-            (* lint: allow D4 — int ranks; a compare call would slow the hot path *)
-            if r < Array.unsafe_get best i || Array.unsafe_get holders i < 0
-            then begin
-              Array.unsafe_set best i r;
-              Array.unsafe_set holders i (Array.unsafe_get raw j)
-            end
-          end
-        done
-      done;
-      (* Rank evaluations actually performed after dedup and seen-cache
-         elision — not candidates × slots (DESIGN.md §8). *)
-      Obs.Counter.add t.c_rank_evals !evals
-    end
-  end
+  Obs.Counter.add t.c_rank_evals (Sampler_bank.offer t.bank ids)
 
 let reset_slot t i =
-  t.seeds.(i) <- Rank.fresh t.config.Config.backend t.rng;
-  t.holders.(i) <- -1;
-  t.best_ranks.(i) <- max_int;
-  t.uses.(i) <- 0;
-  t.clock <- t.clock + 1;
-  t.stamps.(i) <- t.clock
+  Sampler_bank.reset t.bank t.rng i;
+  t.uses.(i) <- 0
 
 let create ?(config = Config.default) ?(obs = Obs.disabled) ~id ~bootstrap
     ~rng ~send () =
   let rng = Rng.split rng in
   let v = config.Config.v in
-  let seeds =
-    Array.init v (fun _ -> Rank.fresh config.Config.backend rng)
+  let bank =
+    Sampler_bank.create ~seen_cache:true
+      ?exclude:(if config.Config.exclude_self then Some id else None)
+      config.Config.backend rng ~slots:v
   in
   let send = Basalt_codec.Metered.send obs ~proto:"basalt" send in
   let t =
     {
       config;
       id;
-      self = Node_id.to_int id;
-      seeds;
-      holders = Array.make v (-1);
-      best_ranks = Array.make v max_int;
+      bank;
       uses = Array.make v 0;
-      stamps = Array.make v 0;
-      clock = 0;
-      seen = Hashtbl.create 64;
-      batch_raw = [||];
-      batch_digest = [||];
-      batch_since = [||];
       rng;
       send;
       next_reset = 0;
@@ -207,30 +86,17 @@ let create ?(config = Config.default) ?(obs = Obs.disabled) ~id ~bootstrap
   update_sample t bootstrap;
   t
 
-let slot_peer t i =
-  let h = t.holders.(i) in
-  if h < 0 then None else Some (Node_id.of_int h)
-
-let view t =
-  let out = ref [] in
-  for i = Array.length t.holders - 1 downto 0 do
-    let h = t.holders.(i) in
-    if h >= 0 then out := Node_id.of_int h :: !out
-  done;
-  Array.of_list !out
-
-let view_slots t = Array.init (Array.length t.holders) (slot_peer t)
-
-let slot_ranks t =
-  Array.init (Array.length t.holders) (fun i ->
-      if t.holders.(i) < 0 then None else Some t.best_ranks.(i))
+let slot_peer t i = Sampler_bank.peer t.bank i
+let view t = Sampler_bank.peers t.bank
+let view_slots t = Array.init (Sampler_bank.length t.bank) (slot_peer t)
+let slot_ranks t = Array.init (Sampler_bank.length t.bank) (Sampler_bank.rank t.bank)
 
 let select_peer t =
   match t.config.Config.select with
   | Config.Uniform_slot ->
       (* Try a few random slots before falling back to a scan, so that a
          mostly-empty view during bootstrap still yields a peer. *)
-      let v = Array.length t.holders in
+      let v = Sampler_bank.length t.bank in
       let rec try_random attempts =
         if attempts = 0 then begin
           let rec scan i =
@@ -249,7 +115,7 @@ let select_peer t =
       in
       try_random 8
   | Config.Rotating_slot ->
-      let v = Array.length t.holders in
+      let v = Sampler_bank.length t.bank in
       let rec scan remaining =
         if remaining = 0 then None
         else begin
@@ -265,29 +131,28 @@ let select_peer t =
       (* The filled slot with the fewest exchanges served since its last
          reset; ties broken by slot order. *)
       let best = ref (-1) in
-      for i = 0 to Array.length t.holders - 1 do
-        if t.holders.(i) >= 0
+      for i = 0 to Sampler_bank.length t.bank - 1 do
+        if Option.is_some (slot_peer t i)
            && (!best < 0 || Int.compare t.uses.(i) t.uses.(!best) < 0)
         then best := i
       done;
       if !best < 0 then None
       else begin
         t.uses.(!best) <- t.uses.(!best) + 1;
-        Some (Node_id.of_int t.holders.(!best))
+        slot_peer t !best
       end
 
 (* Reset every slot currently holding [peer] and re-offer the rest of the
    view, so the freed slots immediately converge to live candidates. *)
 let evict_peer t peer =
-  let peer_int = Node_id.to_int peer in
   let snapshot =
     Array.of_list
       (List.filter
          (fun p -> not (Node_id.equal p peer))
          (Array.to_list (view t)))
   in
-  for i = 0 to Array.length t.holders - 1 do
-    if Int.equal t.holders.(i) peer_int then begin
+  for i = 0 to Sampler_bank.length t.bank - 1 do
+    if Option.equal Node_id.equal (slot_peer t i) (Some peer) then begin
       reset_slot t i;
       t.evicted <- t.evicted + 1;
       Obs.Counter.incr t.c_evictions
@@ -366,7 +231,7 @@ let on_message t ~from msg =
       ()
 
 let sample_tick t =
-  let v = Array.length t.holders in
+  let v = Sampler_bank.length t.bank in
   let k = t.config.Config.k in
   (* Snapshot the pre-reset view: Alg. 1 line 19 re-offers "the current
      view", in which the just-reset slots still hold their old peers. *)
@@ -384,7 +249,7 @@ let sample_tick t =
     reset_slot t i;
     Obs.Counter.incr t.c_slot_resets
   done;
-  prune_seen t;
+  Sampler_bank.prune_seen t.bank;
   update_sample t snapshot;
   List.rev !samples
 

@@ -3,7 +3,7 @@ module Message = Basalt_proto.Message
 module Rps = Basalt_proto.Rps
 module View_ops = Basalt_proto.View_ops
 module Rng = Basalt_prng.Rng
-module Slot = Basalt_core.Slot
+module Sampler_bank = Basalt_core.Sampler_bank
 module Obs = Basalt_obs.Obs
 
 type t = {
@@ -12,7 +12,7 @@ type t = {
   rng : Rng.t;
   send : Rps.send;
   mutable view : Node_id.t array;
-  samplers : Slot.t array;
+  samplers : Sampler_bank.t;  (* the min-wise sampler vector 𝒮 *)
   mutable pending_push : Node_id.t list;
   mutable pending_push_count : int;  (* push messages, for the limit *)
   mutable pending_pull : Node_id.t list;
@@ -36,25 +36,20 @@ type t = {
 let config t = t.config
 let id t = t.id
 
+(* Brahms's samplers run without the seen-cache: its rank-evaluation
+   count keeps the naive meaning (l per non-self identifier fed), and a
+   per-node cache would cost more heap than the evaluations it saves. *)
 let feed_samplers t ids =
-  let skip_self = t.config.Brahms_config.exclude_self in
-  let backend = t.config.Brahms_config.backend in
-  List.iter
-    (fun id ->
-      if not (skip_self && Node_id.equal id t.id) then begin
-        let prepared = Basalt_hashing.Rank.prepare backend (Node_id.to_int id) in
-        Obs.Counter.add t.c_rank_evals (Array.length t.samplers);
-        Array.iter (fun s -> ignore (Slot.offer_prepared s id prepared)) t.samplers
-      end)
-    ids
+  Obs.Counter.add t.c_rank_evals (Sampler_bank.offer t.samplers ids)
 
 let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
     ~bootstrap ~rng ~send () =
   let rng = Rng.split rng in
   let send = Basalt_codec.Metered.send obs ~proto:"brahms" send in
   let samplers =
-    Array.init config.Brahms_config.l (fun _ ->
-        Slot.create config.Brahms_config.backend rng)
+    Sampler_bank.create
+      ?exclude:(if config.Brahms_config.exclude_self then Some id else None)
+      config.Brahms_config.backend rng ~slots:config.Brahms_config.l
   in
   let initial_view =
     let candidates =
@@ -93,17 +88,10 @@ let create ?(config = Brahms_config.default) ?(obs = Obs.disabled) ~id
       rtt = Obs.rtt obs ~name:"brahms.pull";
     }
   in
-  feed_samplers t (Array.to_list bootstrap);
+  feed_samplers t bootstrap;
   t
 
-let sampler_outputs t =
-  let out = ref [] in
-  for i = Array.length t.samplers - 1 downto 0 do
-    match Slot.peer t.samplers.(i) with
-    | Some p -> out := p :: !out
-    | None -> ()
-  done;
-  Array.of_list !out
+let sampler_outputs t = Sampler_bank.peers t.samplers
 
 (* Rebuild the view per Eq. (2):
    rand(alpha*l, pushed) ∪ rand(beta*l, pulled) ∪ rand(gamma*l, samplers). *)
@@ -181,7 +169,7 @@ let on_message t ~from msg =
   | Message.Push_id id ->
       t.pending_push <- id :: t.pending_push;
       t.pending_push_count <- t.pending_push_count + 1;
-      feed_samplers t [ id ]
+      feed_samplers t [| id |]
   | Message.Push ids ->
       (* Brahms pushes carry exactly the sender's identifier (§4.3: "limit
          pushed IDs to a peer's own ID").  A multi-identifier push — the
@@ -191,30 +179,32 @@ let on_message t ~from msg =
       ignore ids;
       t.pending_push <- from :: t.pending_push;
       t.pending_push_count <- t.pending_push_count + 1;
-      feed_samplers t [ from ]
+      feed_samplers t [| from |]
   | Message.Pull_reply ids ->
       Obs.rtt_finish t.rtt ~peer:(Node_id.to_int from);
-      t.pending_pull <- List.rev_append (Array.to_list ids) t.pending_pull;
+      (* Prepend in reverse, as [List.rev_append (Array.to_list ids)]
+         would, without the intermediate list. *)
+      Array.iter (fun id -> t.pending_pull <- id :: t.pending_pull) ids;
       t.got_pull_reply <- true;
-      feed_samplers t (Array.to_list ids)
+      feed_samplers t ids
   (* Broadcast frames are the lib/gossip layer's; samplers ignore them. *)
   | Message.Gossip _ | Message.Ihave _ | Message.Iwant _ | Message.Graft
   | Message.Prune ->
       ()
 
 let sample_tick t =
-  let l = Array.length t.samplers in
+  let l = Sampler_bank.length t.samplers in
   let samples = ref [] in
   for _ = 1 to t.config.Brahms_config.k do
     let i = t.next_reset in
     t.next_reset <- (t.next_reset + 1) mod l;
-    (match Slot.peer t.samplers.(i) with
+    (match Sampler_bank.peer t.samplers i with
     | Some p ->
         samples := p :: !samples;
         t.emitted <- t.emitted + 1;
         Obs.Counter.incr t.c_samples
     | None -> ());
-    Slot.reset t.config.Brahms_config.backend t.rng t.samplers.(i);
+    Sampler_bank.reset t.samplers t.rng i;
     Obs.Counter.incr t.c_slot_resets
   done;
   List.rev !samples

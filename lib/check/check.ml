@@ -460,14 +460,8 @@ let effective_count count =
    every property owns an independent pinned stream, and renaming a
    property or moving it between suites re-rolls its cases instead of
    silently shifting its neighbours'. *)
-let fnv1a64 s =
-  let prime = 0x100000001b3L in
-  String.fold_left
-    (fun h c -> Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) prime)
-    0xcbf29ce484222325L s
-
 let derive_seed ~seed ~suite ~prop_name =
-  let h = fnv1a64 (suite ^ "/" ^ prop_name) in
+  let h = Basalt_hashing.Rank.fnv1a64 (suite ^ "/" ^ prop_name) in
   let mixed = Basalt_prng.Splitmix64.mix (Int64.logxor h (Int64.of_int seed)) in
   Int64.to_int mixed land max_int
 

@@ -1,22 +1,26 @@
-type 'a entry = { time : float; seq : int; value : 'a }
+(* Heap cells are a variant so that vacated slots can hold the constant
+   [Empty] instead of a stale entry: a delivered event — and the message
+   it carries — must not stay reachable from the queue after [pop]. *)
+type 'a cell = Empty | Entry of { time : float; seq : int; value : 'a }
 
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap] slots at indices >= [len] are stale; a dummy entry fills slot 0
-     of a fresh queue until the first push. *)
+  mutable heap : 'a cell array;  (* slots at indices >= [len] are [Empty] *)
   mutable len : int;
   mutable next_seq : int;
 }
 
 let create () = { heap = [||]; len = 0; next_seq = 0 }
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let before a b =
+  match (a, b) with
+  | Entry a, Entry b -> a.time < b.time || (a.time = b.time && a.seq < b.seq)
+  | Entry _, Empty -> true
+  | Empty, _ -> false
 
-let grow q entry =
+let grow q =
   let capacity = Array.length q.heap in
   if q.len = capacity then begin
-    let new_capacity = max 16 (2 * capacity) in
-    let heap = Array.make new_capacity entry in
+    let heap = Array.make (max 16 (2 * capacity)) Empty in
     Array.blit q.heap 0 heap 0 q.len;
     q.heap <- heap
   end
@@ -48,25 +52,29 @@ let rec sift_down q i =
   end
 
 let push q ~time value =
-  let entry = { time; seq = q.next_seq; value } in
+  let entry = Entry { time; seq = q.next_seq; value } in
   q.next_seq <- q.next_seq + 1;
-  grow q entry;
+  grow q;
   q.heap.(q.len) <- entry;
   q.len <- q.len + 1;
   sift_up q (q.len - 1)
 
 let pop q =
-  if q.len = 0 then None
-  else begin
-    let top = q.heap.(0) in
-    q.len <- q.len - 1;
-    if q.len > 0 then begin
-      q.heap.(0) <- q.heap.(q.len);
-      sift_down q 0
-    end;
-    Some (top.time, top.value)
-  end
+  match q.heap with
+  | [||] -> None
+  | heap -> (
+      match heap.(0) with
+      | Empty -> None
+      | Entry top ->
+          q.len <- q.len - 1;
+          heap.(0) <- heap.(q.len);
+          heap.(q.len) <- Empty;
+          if q.len > 0 then sift_down q 0;
+          Some (top.time, top.value))
 
-let peek_time q = if q.len = 0 then None else Some q.heap.(0).time
+let peek_time q =
+  if q.len = 0 then None
+  else match q.heap.(0) with Entry e -> Some e.time | Empty -> None
+
 let size q = q.len
 let is_empty q = q.len = 0

@@ -16,28 +16,28 @@ let split t =
     Xoshiro256.of_state 1L 0L 0L 0L
   else Xoshiro256.of_state (m s0) (m s1) (m s2) (m s3)
 
-let bits t = Int64.to_int (Xoshiro256.next t) land max_int
+let bits t = Xoshiro256.next_int t land max_int
 
+(* The integer draws are the simulator's innermost loop; they allocate
+   nothing (no boxed [int64], no closure for the rejection loop). *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   if bound land (bound - 1) = 0 then bits t land (bound - 1)
-  else
+  else begin
     let threshold = max_int - (max_int mod bound) in
-    let rec go () =
-      let r = bits t in
-      if r >= threshold then go () else r mod bound
-    in
-    go ()
+    let r = ref (bits t) in
+    while !r >= threshold do
+      r := bits t
+    done;
+    !r mod bound
+  end
 
 let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: hi < lo";
   lo + int t (hi - lo + 1)
 
-let float t x =
-  let mantissa = Int64.to_float (Int64.shift_right_logical (int64 t) 11) in
-  mantissa *. 0x1.0p-53 *. x
-
-let bool t = Int64.logand (int64 t) 1L = 1L
+let float t x = Float.of_int (Xoshiro256.next_top t 53) *. 0x1.0p-53 *. x
+let bool t = Xoshiro256.next_int t land 1 = 1
 let bernoulli t ~p = float t 1.0 < p
 
 let pick t a =

@@ -6,7 +6,7 @@
     tests for the published test vectors. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: one 64-bit word, stored unboxed. *)
 
 val create : int64 -> t
 (** [create seed] returns a fresh generator initialised with [seed]. *)

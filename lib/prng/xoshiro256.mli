@@ -5,7 +5,7 @@
     {!Splitmix64} stream, as recommended by the authors. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four 64-bit words, stored unboxed. *)
 
 val create : int64 -> t
 (** [create seed] seeds the four state words from a SplitMix64 stream
@@ -21,3 +21,13 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
+
+val next_int : t -> int
+(** [next_int t] is [Int64.to_int (next t)] — the output's low 63 bits —
+    without boxing: the allocation-free draw behind {!Rng.bits},
+    {!Rng.int} and {!Rng.bool}. *)
+
+val next_top : t -> int -> int
+(** [next_top t k] advances the state like {!next} and returns the
+    output's [k] most significant bits as a non-negative native integer,
+    without boxing ([1 <= k <= 62]). *)

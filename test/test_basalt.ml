@@ -1,4 +1,5 @@
-(* Tests for basalt.core: config, slots, the Basalt algorithm, streams. *)
+(* Tests for basalt.core: config, the sampler bank's slots, the Basalt
+   algorithm, streams. *)
 
 open Basalt_core
 module Node_id = Basalt_proto.Node_id
@@ -46,72 +47,86 @@ let config_equilibrium () =
   check_bool "tiny view has none" false
     (Config.equilibrium_exists tiny ~n:10_000 ~f:0.1)
 
-(* --- Slot --- *)
+(* --- Slot (one slot of a sampler bank) --- *)
+
+(* A bank's seeds are its rng's first [Rank.fresh] draws, in slot order,
+   so a same-seeded rng reproduces them for reference ranking. *)
+let bank_seeds ~backend ~seed ~slots =
+  let r = Basalt_prng.Rng.create ~seed in
+  Array.init slots (fun _ -> Rank.fresh backend r)
+
+let bank ?seen_cache ?(slots = 1) () =
+  Sampler_bank.create ?seen_cache Rank.Cheap (rng ()) ~slots
 
 let slot_empty () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  check_bool "starts empty" true (Slot.peer s = None);
-  check_bool "no rank" true (Slot.best_rank s = None)
+  let b = bank () in
+  check_bool "starts empty" true (Sampler_bank.peer b 0 = None);
+  check_bool "no rank" true (Sampler_bank.rank b 0 = None);
+  check_int "no peers" 0 (Array.length (Sampler_bank.peers b))
 
 let slot_offer_fills () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  check_bool "first offer accepted" true (Slot.offer s (id 3));
-  check_bool "filled" true (Slot.peer s = Some (id 3))
+  let b = bank () in
+  check_int "first offer evaluated" 1 (Sampler_bank.offer b [| id 3 |]);
+  check_bool "filled" true (Sampler_bank.peer b 0 = Some (id 3))
 
 let slot_keeps_minimum () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  (* Offer many candidates; the slot must end up holding the argmin of
-     the rank function over all offered ids. *)
-  for i = 0 to 99 do
-    ignore (Slot.offer s (id i))
-  done;
-  let seed = Slot.seed s in
-  let best = ref 0 in
-  for i = 1 to 99 do
-    if Rank.rank seed i < Rank.rank seed !best then best := i
-  done;
-  check_bool "holds global argmin" true (Slot.peer s = Some (id !best))
+  List.iter
+    (fun seen_cache ->
+      let b = bank ~seen_cache () in
+      (* Offer many candidates; the slot must end up holding the argmin of
+         the rank function over all offered ids. *)
+      for i = 0 to 99 do
+        ignore (Sampler_bank.offer b [| id i |])
+      done;
+      let seed = (bank_seeds ~backend:Rank.Cheap ~seed:1234 ~slots:1).(0) in
+      let best = ref 0 in
+      for i = 1 to 99 do
+        if Rank.rank seed i < Rank.rank seed !best then best := i
+      done;
+      check_bool "holds global argmin" true
+        (Sampler_bank.peer b 0 = Some (id !best)))
+    [ false; true ]
 
 let slot_rejects_worse () =
-  let s = Slot.create Rank.Cheap (rng ()) in
-  for i = 0 to 99 do
-    ignore (Slot.offer s (id i))
-  done;
-  let held = Slot.peer s in
-  (* Re-offering everything cannot change the held peer. *)
-  let changed = ref false in
-  for i = 0 to 99 do
-    if Slot.offer s (id i) then changed := true
-  done;
-  check_bool "idempotent" false !changed;
-  check_bool "same peer" true (Slot.peer s = held)
+  List.iter
+    (fun seen_cache ->
+      let b = bank ~seen_cache ~slots:4 () in
+      let ids = Array.init 100 id in
+      ignore (Sampler_bank.offer b ids);
+      let held = Sampler_bank.peers b
+      and ranks = List.init 4 (Sampler_bank.rank b) in
+      (* Re-offering everything cannot change any slot; with the
+         seen-cache it does not even rank anything. *)
+      let evals = Sampler_bank.offer b ids in
+      if seen_cache then check_int "re-offer skipped" 0 evals;
+      check_bool "same peers" true (Sampler_bank.peers b = held);
+      check_bool "same ranks" true (List.init 4 (Sampler_bank.rank b) = ranks))
+    [ false; true ]
 
 let slot_reset () =
   let r = rng () in
-  let s = Slot.create Rank.Cheap r in
-  ignore (Slot.offer s (id 1));
-  Slot.reset Rank.Cheap r s;
-  check_bool "cleared" true (Slot.peer s = None)
+  let b = Sampler_bank.create ~seen_cache:true Rank.Cheap r ~slots:2 in
+  ignore (Sampler_bank.offer b [| id 1; id 2 |]);
+  Sampler_bank.reset b r 0;
+  check_bool "cleared" true (Sampler_bank.peer b 0 = None);
+  check_bool "other slot kept" true (Sampler_bank.peer b 1 <> None);
+  (* The seen-cache must not hide a known id from the fresh seed. *)
+  check_int "re-offer ranks only the reset slot" 1
+    (Sampler_bank.offer b [| id 1 |]);
+  check_bool "refilled" true (Sampler_bank.peer b 0 = Some (id 1))
 
-let slot_offer_prepared_agrees () =
-  let r = rng () in
-  let s1 = Slot.create Rank.Cheap r in
-  for i = 0 to 49 do
-    let p = Rank.prepare Rank.Cheap i in
-    let direct = Slot.create Rank.Cheap r in
-    ignore direct;
-    ignore (Slot.offer_prepared s1 (id i) p)
-  done;
-  (* replay with plain offer on a slot with the same seed *)
-  let s2 = Slot.create Rank.Cheap r in
-  ignore s2;
-  (* Equivalent check: prepared ranks equal direct ranks for the held
-     peer. *)
-  match (Slot.peer s1, Slot.best_rank s1) with
-  | Some p, Some rank ->
-      check_int "cached rank is the true rank" rank
-        (Rank.rank (Slot.seed s1) (Node_id.to_int p))
-  | _ -> Alcotest.fail "slot should be filled"
+let slot_cached_rank_agrees () =
+  let b = bank ~slots:3 () in
+  ignore (Sampler_bank.offer b (Array.init 50 id));
+  let seeds = bank_seeds ~backend:Rank.Cheap ~seed:1234 ~slots:3 in
+  Array.iteri
+    (fun i seed ->
+      match (Sampler_bank.peer b i, Sampler_bank.rank b i) with
+      | Some p, Some rank ->
+          check_int "cached rank is the true rank" rank
+            (Rank.rank seed (Node_id.to_int p))
+      | _ -> Alcotest.fail "slot should be filled")
+    seeds
 
 (* --- Basalt --- *)
 
@@ -603,13 +618,21 @@ let prop_slot_argmin =
   Check.prop ~name:"slot holds the argmin-rank identifier" ~count:300
     ~print:print_seed_ids seed_and_ids
     (fun (seed, ids) ->
-      let s = Slot.create Rank.Cheap (Basalt_prng.Rng.create ~seed) in
-      List.iter (fun i -> ignore (Slot.offer s (id i))) ids;
-      let rank i = Rank.rank (Slot.seed s) i in
-      let best = List.fold_left (fun acc i -> min acc (rank i)) max_int ids in
-      match (Slot.peer s, Slot.best_rank s) with
-      | Some p, Some r -> rank (Node_id.to_int p) = best && r = best
-      | _ -> false)
+      let slots = 4 in
+      let b =
+        Sampler_bank.create Rank.Cheap (Basalt_prng.Rng.create ~seed) ~slots
+      in
+      ignore (Sampler_bank.offer b (Array.of_list (List.map id ids)));
+      let seeds = bank_seeds ~backend:Rank.Cheap ~seed ~slots in
+      List.for_all
+        (fun i ->
+          let rank x = Rank.rank seeds.(i) x in
+          let best = List.fold_left (fun acc x -> min acc (rank x)) max_int ids in
+          match (Sampler_bank.peer b i, Sampler_bank.rank b i) with
+          | Some p, Some r -> rank (Node_id.to_int p) = best && r = best
+          | None, None -> ids = []
+          | _ -> false)
+        (List.init slots Fun.id))
 
 (* Feeding a batch is the same as feeding it in two pieces: update_sample
    draws no randomness, so same-seed instances stay comparable. *)
@@ -839,7 +862,7 @@ let () =
           Alcotest.test_case "keeps minimum" `Quick slot_keeps_minimum;
           Alcotest.test_case "rejects worse" `Quick slot_rejects_worse;
           Alcotest.test_case "reset" `Quick slot_reset;
-          Alcotest.test_case "prepared agrees" `Quick slot_offer_prepared_agrees;
+          Alcotest.test_case "cached rank agrees" `Quick slot_cached_rank_agrees;
         ] );
       ( "basalt",
         [

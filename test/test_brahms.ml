@@ -255,6 +255,178 @@ let prop_samplers_permutation_invariant =
       feed b (List.rev ids);
       Brahms.sampler_outputs a = Brahms.sampler_outputs b)
 
+(* Differential sampler oracle: a naive reference model of Brahms's
+   sampler vector that ranks every (sampler, identifier) pair with
+   [Rank.rank], in feed order, one identifier at a time — the
+   record-per-sampler code the flat sampler bank replaced.  It mirrors
+   the node's PRNG usage: [create] splits the master stream, draws one
+   seed per sampler, then draws the initial view from the same stream;
+   each [sample_tick] reset draws one more seed.  Pushes and pull
+   replies draw nothing, so a same-seeded node and model hold identical
+   seeds at every step and must agree on every sampler output, every
+   emitted sample, and the naive [brahms.rank_evals] count (l per
+   non-self identifier fed). *)
+module Rank = Basalt_hashing.Rank
+module Obs = Basalt_obs.Obs
+
+module Sampler_oracle = struct
+  type sampler = {
+    mutable seed : Rank.seed;
+    mutable holder : int option;
+    mutable best : int;
+  }
+
+  type t = {
+    samplers : sampler array;
+    rng : Basalt_prng.Rng.t;
+    backend : Rank.backend;
+    self : int;
+    mutable next_reset : int;
+    mutable evals : int;
+  }
+
+  let offer t ids =
+    Array.iter
+      (fun id ->
+        let id = Node_id.to_int id in
+        if id <> t.self then
+          Array.iter
+            (fun s ->
+              t.evals <- t.evals + 1;
+              let r = Rank.rank s.seed id in
+              if s.holder = None || r < s.best then begin
+                s.holder <- Some id;
+                s.best <- r
+              end)
+            t.samplers)
+      ids
+
+  let create ~backend ~l ~self ~seed ~bootstrap =
+    let master = Basalt_prng.Rng.create ~seed in
+    let rng = Basalt_prng.Rng.split master in
+    let samplers =
+      Array.init l (fun _ ->
+          { seed = Rank.fresh backend rng; holder = None; best = max_int })
+    in
+    let others =
+      Array.of_list
+        (List.filter
+           (fun p -> Node_id.to_int p <> self)
+           (Array.to_list bootstrap))
+    in
+    ignore (View_ops.random_subset rng ~k:l others);
+    let t = { samplers; rng; backend; self; next_reset = 0; evals = 0 } in
+    offer t bootstrap;
+    t
+
+  let tick t ~k =
+    let samples = ref [] in
+    for _ = 1 to k do
+      let s = t.samplers.(t.next_reset) in
+      t.next_reset <- (t.next_reset + 1) mod Array.length t.samplers;
+      Option.iter (fun p -> samples := p :: !samples) s.holder;
+      s.seed <- Rank.fresh t.backend t.rng;
+      s.holder <- None;
+      s.best <- max_int
+    done;
+    List.rev !samples
+
+  let outputs t =
+    Array.of_list
+      (List.filter_map (fun s -> s.holder) (Array.to_list t.samplers))
+end
+
+let oracle_backends =
+  [
+    ("cheap", Rank.Cheap);
+    ("keyed-cheap", Rank.Keyed_cheap 0x2545F4914F6CDD1D);
+    ( "siphash",
+      Rank.Siphash
+        (Basalt_hashing.Siphash.key_of_ints 0x0706050403020100L
+           0x0F0E0D0C0B0A0908L) );
+    ("prefix-diverse", Rank.Prefix_diverse { prefix_of = (fun id -> id / 8) });
+  ]
+
+type oracle_op =
+  | Push_id of int  (* Push_id carrying the id, from that id *)
+  | Push of int * int list  (* multi-id push: only the sender counts *)
+  | Reply of int * int list  (* pull reply, possibly empty *)
+  | Tick
+
+let print_oracle_op = function
+  | Push_id i -> Printf.sprintf "push_id(%d)" i
+  | Push (f, l) -> Printf.sprintf "push(%d,%s)" f (Print.list Print.int l)
+  | Reply (f, l) -> Printf.sprintf "reply(%d,%s)" f (Print.list Print.int l)
+  | Tick -> "tick"
+
+(* Identifiers range over 0..12 with 0 the node itself: duplicates
+   within and across batches and self ids are common. *)
+let gen_oracle_op =
+  let small = Gen.nat ~max:12 in
+  let batch = Gen.list ~min_len:0 ~max_len:8 small in
+  Gen.map
+    (fun (kind, (a, l)) ->
+      match kind mod 4 with
+      | 0 -> Push_id a
+      | 1 -> Push (a, l)
+      | 2 -> Reply (a, l)
+      | _ -> Tick)
+    (Gen.pair (Gen.nat ~max:3) (Gen.pair small batch))
+
+let prop_samplers_match_oracle =
+  Check.prop ~name:"sampler bank matches naive rank oracle" ~count:150
+    ~print:(Print.pair Print.int (Print.list print_oracle_op))
+    (Gen.pair (Gen.nat ~max:10_000) (Gen.list ~min_len:1 ~max_len:12 gen_oracle_op))
+    (fun (seed, ops) ->
+      let l = 6 and k = 2 in
+      let ids = List.map Node_id.of_int in
+      let bootstrap = Array.of_list (ids [ 0; 3; 5; 3 ]) in
+      List.for_all
+        (fun (_name, backend) ->
+          let obs = Obs.create () in
+          let t =
+            Brahms.create
+              ~config:(Brahms_config.make ~l ~k ~backend ())
+              ~obs ~id:(Node_id.of_int 0) ~bootstrap
+              ~rng:(Basalt_prng.Rng.create ~seed)
+              ~send:(fun ~dst:_ _ -> ())
+              ()
+          in
+          let m = Sampler_oracle.create ~backend ~l ~self:0 ~seed ~bootstrap in
+          let agree () =
+            Array.map Node_id.to_int (Brahms.sampler_outputs t)
+            = Sampler_oracle.outputs m
+            && Obs.Counter.value (Obs.counter obs "brahms.rank_evals") = m.evals
+          in
+          agree ()
+          && List.for_all
+               (fun op ->
+                 let same_samples =
+                   match op with
+                   | Push_id i ->
+                       let p = Node_id.of_int i in
+                       Brahms.on_message t ~from:p (Message.Push_id p);
+                       Sampler_oracle.offer m [| p |];
+                       true
+                   | Push (f, l) ->
+                       let from = Node_id.of_int f in
+                       Brahms.on_message t ~from (Message.Push (Array.of_list (ids l)));
+                       Sampler_oracle.offer m [| from |];
+                       true
+                   | Reply (f, l) ->
+                       let batch = Array.of_list (ids l) in
+                       Brahms.on_message t ~from:(Node_id.of_int f)
+                         (Message.Pull_reply batch);
+                       Sampler_oracle.offer m batch;
+                       true
+                   | Tick ->
+                       List.map Node_id.to_int (Brahms.sample_tick t)
+                       = Sampler_oracle.tick m ~k
+                 in
+                 same_samples && agree ())
+               ops)
+        oracle_backends)
+
 let () =
   Alcotest.run "brahms"
     [
@@ -288,5 +460,6 @@ let () =
         [
           prop_view_never_contains_self;
           prop_samplers_permutation_invariant;
+          prop_samplers_match_oracle;
         ];
     ]

@@ -49,6 +49,30 @@ let queue_peek () =
     (Event_queue.peek_time q);
   check_int "peek does not remove" 2 (Event_queue.size q)
 
+(* Delivered events must not stay reachable from the queue: a popped
+   message (a sampler view can carry hundreds of ids) should be garbage
+   as soon as its handler is done with it.  Push and pop happen in a
+   separate frame so no stack slot of the test keeps a block alive. *)
+let[@inline never] push_and_drain q weak =
+  for i = 0 to Weak.length weak - 1 do
+    let block = Array.make 100 i in
+    Weak.set weak i (Some block);
+    Event_queue.push q ~time:(float_of_int ((7 * i) mod 5)) block
+  done;
+  while not (Event_queue.is_empty q) do
+    ignore (Event_queue.pop q)
+  done
+
+let queue_releases_popped () =
+  let q = Event_queue.create () in
+  let weak = Weak.create 20 in
+  push_and_drain q weak;
+  Gc.full_major ();
+  for i = 0 to Weak.length weak - 1 do
+    check_bool (Printf.sprintf "block %d collected" i) false (Weak.check weak i)
+  done;
+  check_int "queue still usable" 0 (Event_queue.size q)
+
 let queue_interleaved () =
   let q = Event_queue.create () in
   for i = 0 to 99 do
@@ -627,6 +651,8 @@ let () =
           Alcotest.test_case "size" `Quick queue_size;
           Alcotest.test_case "peek" `Quick queue_peek;
           Alcotest.test_case "interleaved" `Quick queue_interleaved;
+          Alcotest.test_case "popped entries released" `Quick
+            queue_releases_popped;
           Check.to_alcotest ~suite:"event_queue" prop_queue_sorted;
           Check.to_alcotest ~suite:"event_queue" prop_queue_model;
         ] );

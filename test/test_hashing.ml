@@ -134,39 +134,42 @@ let siphash_midstate_nondefault_instance () =
 
 (* --- Mixers --- *)
 
+(* The one 64-bit SplitMix finalizer is [Splitmix64.mix]: the generator's
+   [k]-th output from seed 0 is the finalizer applied to [k × gamma]. *)
 let mix64_matches_splitmix () =
-  List.iter
-    (fun x ->
-      check_i64 "mix64 = splitmix finalizer" (Basalt_prng.Splitmix64.mix x)
-        (Mix.mix64 x))
-    [ 0L; 1L; -1L; 123456789L ]
+  let sm = Basalt_prng.Splitmix64.create 0L in
+  for k = 1 to 8 do
+    check_i64 "mix64 = splitmix finalizer"
+      (Basalt_prng.Splitmix64.mix (Int64.mul (Int64.of_int k) 0x9E3779B97F4A7C15L))
+      (Basalt_prng.Splitmix64.next sm)
+  done
 
 let fmix64_known () =
   (* fmix64 0 = 0 is a well-known fixed point of the murmur finalizer. *)
-  check_i64 "fmix64 0" 0L (Mix.fmix64 0L);
-  check_bool "fmix64 1" true (Mix.fmix64 1L <> 1L)
+  check_i64 "fmix64 0" 0L (Rank.fmix64 0L);
+  check_bool "fmix64 1" true (Rank.fmix64 1L <> 1L)
 
 let mix63_non_negative () =
   List.iter
-    (fun x -> check_bool "non-negative" true (Mix.mix63 x >= 0))
+    (fun x -> check_bool "non-negative" true (Rank.mix63 x >= 0))
     [ 0; 1; -1; max_int; min_int; 42 ]
 
 let mix63_no_easy_collisions () =
   let seen = Hashtbl.create 10_000 in
   for i = 0 to 9_999 do
-    let h = Mix.mix63 i in
+    let h = Rank.mix63 i in
     check_bool "no collision among consecutive" false (Hashtbl.mem seen h);
     Hashtbl.add seen h ()
   done
 
 let combine63_depends_on_both () =
-  check_bool "seed matters" true (Mix.combine63 1 42 <> Mix.combine63 2 42);
-  check_bool "value matters" true (Mix.combine63 1 42 <> Mix.combine63 1 43)
+  check_bool "seed matters" true (Rank.combine63 1 42 <> Rank.combine63 2 42);
+  check_bool "value matters" true (Rank.combine63 1 42 <> Rank.combine63 1 43)
 
 let fnv1a_vectors () =
-  check_i64 "empty" 0xCBF29CE484222325L (Mix.fnv1a64 "");
-  check_i64 "a" 0xAF63DC4C8601EC8CL (Mix.fnv1a64 "a");
-  check_i64 "foobar" 0x85944171F73967E8L (Mix.fnv1a64 "foobar")
+  check_i64 "empty" 0xCBF29CE484222325L (Rank.fnv1a64 "");
+  check_i64 "a" 0xAF63DC4C8601EC8CL (Rank.fnv1a64 "a");
+  check_i64 "foobar" 0x85944171F73967E8L (Rank.fnv1a64 "foobar")
 
 (* --- Rank --- *)
 
@@ -185,15 +188,22 @@ let rank_non_negative () =
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
-let rank_prepared_agrees () =
+(* [kernel_rank seed id] offers [id] alone to one empty slot through the
+   batch kernel and reads back the rank it installed. *)
+let kernel_rank seed id =
+  let ranks = [| max_int |] and holders = [| -1 |] in
+  ignore
+    (Rank.offer_slot seed ~ids:[| id |] ~digests:[| Rank.digest id |]
+       ~since:[| -1 |] ~len:1 ~stamp:0 ~ranks ~holders 0);
+  ranks.(0)
+
+let rank_kernel_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:13 in
   List.iter
     (fun backend ->
       let seed = Rank.fresh backend rng in
       for id = 0 to 50 do
-        let p = Rank.prepare backend id in
-        check_int "prepared = direct" (Rank.rank seed id)
-          (Rank.rank_prepared seed p)
+        check_int "kernel = direct" (Rank.rank seed id) (kernel_rank seed id)
       done)
     [ Rank.Cheap; Rank.Siphash ref_key ]
 
@@ -292,21 +302,17 @@ let prefix_rank_uniform_within_prefix () =
         (abs (w - expected) < expected / 3))
     wins
 
-let prefix_rank_prepared_agrees () =
+let prefix_rank_kernel_agrees () =
   let rng = Basalt_prng.Rng.create ~seed:79 in
   let s = Rank.fresh prefix_backend rng in
   for id = 0 to 300 do
-    check_int "prepared = direct" (Rank.rank s id)
-      (Rank.rank_prepared s (Rank.prepare prefix_backend id))
+    check_int "kernel = direct" (Rank.rank s id) (kernel_rank s id)
   done
 
 module Check = Basalt_check.Check
 module Gen = Check.Gen
 module Print = Check.Print
 
-(* Every evaluation path — plain, prepared, digested (and for SipHash
-   the precomputed midstate they all share) — must produce the same
-   rank, for every backend. *)
 let all_backends =
   [
     ("cheap", Rank.Cheap);
@@ -315,18 +321,48 @@ let all_backends =
     ("prefix-diverse", Rank.Prefix_diverse { prefix_of = (fun id -> id / 64) });
   ]
 
-let prop_rank_paths_equal =
-  Check.prop ~name:"rank = rank_prepared = rank_digested (all backends)"
-    ~count:1000
-    ~print:(Print.pair Print.int Print.int)
-    Gen.(pair (nat ~max:1_000_000) (nat ~max:1_000_000))
-    (fun (sv, id) ->
+(* The batch kernel against the plain formula, for every backend: one
+   slot, starting empty or held, offered a batch whose candidates carry
+   arbitrary last-offer stamps.  The reference ranks each candidate with
+   [Rank.rank] in batch order, skips those not newer than the slot's
+   stamp, installs on empty-or-strictly-lower, and counts evaluations.
+   A small identifier range makes duplicate candidates (rank ties)
+   common. *)
+let prop_kernel_matches_rank =
+  Check.prop ~name:"offer_slot = in-order argmin of rank"
+    ~count:500
+    ~print:
+      (Print.triple Print.int Print.int
+         (Print.list (Print.pair Print.int Print.int)))
+    Gen.(
+      triple (nat ~max:1_000_000) (int_range (-1) 20)
+        (list ~max_len:12 (pair (nat ~max:30) (int_range (-1) 4))))
+    (fun (sv, start, cands) ->
+      let stamp = 2 in
+      let ids = Array.of_list (List.map fst cands) in
+      let since = Array.of_list (List.map snd cands) in
       List.for_all
         (fun (_, backend) ->
           let seed = Rank.of_int backend sv in
-          let r = Rank.rank seed id in
-          r = Rank.rank_prepared seed (Rank.prepare backend id)
-          && r = Rank.rank_digested seed ~id ~digest:(Rank.digest id))
+          let holder0, rank0 =
+            if start < 0 then (-1, max_int) else (start, Rank.rank seed start)
+          in
+          let ranks = [| 0; rank0 |] and holders = [| 0; holder0 |] in
+          let evals =
+            Rank.offer_slot seed ~ids ~digests:(Array.map Rank.digest ids)
+              ~since ~len:(Array.length ids) ~stamp ~ranks ~holders 1
+          in
+          let want_holder, want_rank, want_evals =
+            List.fold_left
+              (fun (h, r, n) (id, s) ->
+                if stamp > s then
+                  let r' = Rank.rank seed id in
+                  if h < 0 || r' < r then (id, r', n + 1) else (h, r, n + 1)
+                else (h, r, n))
+              (holder0, rank0, 0) cands
+          in
+          holders.(1) = want_holder && ranks.(1) = want_rank
+          && evals = want_evals && ranks.(0) = 0 && holders.(0) = 0)
         all_backends)
 
 (* The SipHash backend's cached midstate path must equal the uncached
@@ -348,7 +384,7 @@ let keyed_cheap_formula () =
   let key = 0x1234_5678_9ABC in
   let s = Rank.of_int (Rank.Keyed_cheap key) 77 in
   for id = 0 to 200 do
-    check_int "keyed63 formula" (Mix.keyed63 ~key 77 id) (Rank.rank s id)
+    check_int "keyed63 formula" (Rank.keyed63 ~key 77 id) (Rank.rank s id)
   done;
   let s2 = Rank.of_int (Rank.Keyed_cheap (key + 1)) 77 in
   check_bool "key matters" true (Rank.rank s 42 <> Rank.rank s2 42)
@@ -356,7 +392,7 @@ let keyed_cheap_formula () =
 let prop_mix63_nonneg =
   Check.prop ~name:"mix63 non-negative" ~count:1000 ~print:Print.int
     (Gen.int_range min_int max_int)
-    (fun x -> Mix.mix63 x >= 0)
+    (fun x -> Rank.mix63 x >= 0)
 
 let () =
   Alcotest.run "hashing"
@@ -391,7 +427,7 @@ let () =
         [
           Alcotest.test_case "deterministic" `Quick rank_deterministic;
           Alcotest.test_case "non-negative" `Quick rank_non_negative;
-          Alcotest.test_case "prepared agrees" `Quick rank_prepared_agrees;
+          Alcotest.test_case "kernel agrees" `Quick rank_kernel_agrees;
           Alcotest.test_case "of_int" `Quick rank_of_int_deterministic;
           Alcotest.test_case "seed changes order" `Quick rank_seed_changes_order;
           Alcotest.test_case "min-wise uniformity (cheap)" `Slow
@@ -404,15 +440,15 @@ let () =
             prefix_rank_prefix_dominates;
           Alcotest.test_case "prefix-diverse uniform within prefix" `Slow
             prefix_rank_uniform_within_prefix;
-          Alcotest.test_case "prefix-diverse prepared agrees" `Quick
-            prefix_rank_prepared_agrees;
+          Alcotest.test_case "prefix-diverse kernel agrees" `Quick
+            prefix_rank_kernel_agrees;
           Alcotest.test_case "keyed-cheap formula" `Quick keyed_cheap_formula;
           Alcotest.test_case "min-wise uniformity (keyed-cheap)" `Slow
             (rank_minwise_uniformity (Rank.Keyed_cheap 0xBEEF));
         ] );
       Check.suite "properties"
         [
-          prop_rank_paths_equal;
+          prop_kernel_matches_rank;
           prop_sip_rank_matches_reference;
           prop_mix63_nonneg;
         ];

@@ -63,6 +63,167 @@ let xoshiro_copy_independent () =
   let a' = Xoshiro256.next a and b' = Xoshiro256.next b in
   check_bool "desynchronised after extra draw" true (a' <> b')
 
+(* --- Pinned streams ---
+
+   The first 64 outputs of each draw primitive for one fixed seed.  Every
+   protocol and simulation stream is built from these primitives, so any
+   change to the generator's arithmetic or state layout that moves a
+   single output shows up here before it moves a pinned experiment. *)
+
+let pin_xoshiro =
+  [|
+    8219794676073764580L; 7689796663739971614L; -9134691353426682877L;
+    604848155500434124L; 6452285419613813000L; 1264054017772904997L;
+    875515478121483156L; 8888744379570927178L; -8871211610219428134L;
+    5381625115872480190L; 6151890472459475736L; -96181457764620741L;
+    6377882528974107744L; -5416687555216044409L; -6088556840316485352L;
+    4577581147613222557L; -5609986618956841226L; -9058474878746342053L;
+    -6094111071188624313L; -5911694896214770184L; -689561109834640365L;
+    -1031664145192188198L; 9209116971101261410L; -4001565543438193214L;
+    -5174685876472374902L; 1934524071027778170L; 8779757758995882885L;
+    8975153692734501507L; 7862226310176137234L; -3524024611514963784L;
+    -1949990084900984326L; -4740831843186899992L; 5802347518006768604L;
+    -1163299051995588314L; -1964930385703573821L; 7962401981080960084L;
+    -7288674993747302969L; 8786033626749620440L; -2289494220514073970L;
+    907047131462652962L; -1678426971736056579L; 6592241665272206612L;
+    -5468382500916514470L; 2374883744804199049L; 7046847907392901076L;
+    7848843885583537699L; -5216533611361040370L; -6224739933819382232L;
+    -7612525057070187843L; -7316781923831650407L; -2518967750528724185L;
+    -4934417403704574447L; -2762699843125800880L; -9137798459051776887L;
+    -9170602188787534565L; -2556316466064279448L; -5827101640426957214L;
+    -6250631012689557229L; -8606917167791714495L; -7475506283381882061L;
+    -8088504402394861446L; 6250114159484585753L; -7826167825918320709L;
+    -8612906958499195936L;
+  |]
+let pin_bits =
+  [|
+    64829759168778272; 2159859130864802054; 886453159353207468;
+    1896197619883896426; 2588581545447856804; 798043589880194235;
+    4479345775535523339; 4510166266723613741; 1914917455920853451;
+    3675366632807384841; 1375899589532173122; 586876310207402150;
+    2689593450339300956; 2854489806868818794; 3628891412634601073;
+    1981271750652901874; 2553991436006175272; 2000081167360736587;
+    2524893682436071257; 3092569529904790250; 1458435627899652184;
+    2404080182362089974; 2142765078744353963; 1176180631920838419;
+    730510937652003497; 1968382875158523474; 4248209882033181682;
+    1251216217727744235; 2082477541493924256; 3677316610364012410;
+    1095676360149895688; 2698576781108093506; 147259304191461499;
+    2657010785117641129; 2562016141600898089; 152088542080110930;
+    4164684581363294701; 3088388607684707378; 2671814195540423531;
+    561497959805030797; 2566001757227357351; 4059529323388474627;
+    2536155309946030192; 341569496809438197; 1897978928291967067;
+    318580179919328376; 2950417910132083127; 1054350688232136639;
+    2480072428410639398; 2341403520595209303; 2490582048506415953;
+    2123520086149720890; 4052261757695802070; 683841152754890933;
+    3558769352179344190; 3095856380796583472; 988443936111337092;
+    2831679715615944564; 363842486152883690; 3503592226551092091;
+    1968470986428039274; 2753020048126912337; 1011538180156219787;
+    3414082792709980099;
+  |]
+let pin_int64 =
+  [|
+    32; 6; 44; 42; 36; 59; 11; 45; 11; 9; 2; 38; 28; 42; 49; 50;
+    40; 11; 25; 42; 24; 54; 43; 19; 41; 18; 50; 43; 32; 58; 8; 2;
+    59; 41; 41; 18; 45; 50; 43; 13; 39; 3; 48; 53; 27; 56; 55; 63;
+    38; 23; 17; 58; 22; 53; 62; 48; 4; 52; 42; 59; 42; 17; 11; 3;
+  |]
+let pin_int1000 =
+  [|
+    272; 54; 468; 426; 804; 235; 339; 741; 451; 841; 122; 150;
+    956; 794; 73; 874; 272; 587; 257; 250; 184; 974; 963; 419;
+    497; 474; 682; 235; 256; 410; 688; 506; 499; 129; 89; 930;
+    701; 378; 531; 797; 351; 627; 192; 197; 67; 376; 127; 639;
+    398; 303; 953; 890; 70; 933; 190; 472; 92; 564; 690; 91;
+    274; 337; 787; 99;
+  |]
+let pin_float =
+  [|
+    0x1.81cca4a51c422p-1; 0x1.bbf2b8df48293p-1; 0x1.89aa0e7528a9p-5;
+    0x1.b4a14b60aa3ddp-1; 0x1.8fb1f4cd82346p-2; 0x1.962670d5642c4p-1;
+    0x1.fc53aa8021e2p-1; 0x1.7d2ea8a5bc057p-1; 0x1.a932747ce5b7p-4;
+    0x1.980c33d63e76p-3; 0x1.4c60b58c22afp-2; 0x1.04a01ca1a022p-5;
+    0x1.954d6bf8d6c3cp-2; 0x1.cf3a5eb612c75p-1; 0x1.64b8d306b51ap-1;
+    0x1.36fdc851ea5d7p-1; 0x1.8dc666b7ba26cp-2; 0x1.37836e731cf87p-1;
+    0x1.461472da7a75bp-1; 0x1.abac0e68c4afep-2; 0x1.43d6779f8bb88p-4;
+    0x1.0ae8118209fd4p-3; 0x1.dbca17c7bab48p-4; 0x1.a0a5441b2aacp-1;
+    0x1.288d2f4f3d24p-2; 0x1.6d44672f1f24ap-2; 0x1.f5e958c26bc8ap-1;
+    0x1.4574da154b7aep-2; 0x1.7399c92985e58p-2; 0x1.cc21cfe53d8fcp-2;
+    0x1.1e693fb0570e1p-1; 0x1.4ae68a91ca214p-1; 0x1.0416571d28681p-1;
+    0x1.c9bf327696a33p-1; 0x1.471c383699e07p-1; 0x1.08714ee4945e4p-2;
+    0x1.7397dd1f63694p-1; 0x1.d5b85226c2d2p-1; 0x1.28a186d6f8438p-3;
+    0x1.0f95aed6c8922p-1; 0x1.1ce2280604848p-3; 0x1.e15961a52f684p-2;
+    0x1.8cc8ef44e2372p-2; 0x1.2f5fe972dbdep-6; 0x1.a56f9c78404fp-4;
+    0x1.1af4bf162494p-6; 0x1.a3c7f5d4417e2p-2; 0x1.9d439cbac187bp-1;
+    0x1.89abf2ef42a04p-2; 0x1.03f2b0c607694p-3; 0x1.c520a65ada611p-1;
+    0x1.3af08488f0b8dp-1; 0x1.f0790d3298b77p-1; 0x1.92fafbcf817f7p-1;
+    0x1.e2c693bdc464cp-1; 0x1.55ed61f39a037p-1; 0x1.9b6f510bb89c3p-1;
+    0x1.3a612d9677bd4p-3; 0x1.14328340f559ap-2; 0x1.84fa1489ab2e8p-3;
+    0x1.b5169eec8b4cp-4; 0x1.cc69624b98444p-1; 0x1.1c13693b21e9cp-1;
+    0x1.bd8508d87501ep-2;
+  |]
+let pin_bool = "0000011111000010011000111001000011101011110110110110010000010111"
+
+let pinned_seed = 20231
+
+let pinned_xoshiro () =
+  let x = Xoshiro256.create (Int64.of_int pinned_seed) in
+  Array.iteri
+    (fun i want ->
+      check_i64 (Printf.sprintf "output %d" i) want (Xoshiro256.next x))
+    pin_xoshiro
+
+let pinned_ints name draw pins () =
+  let t = Rng.create ~seed:pinned_seed in
+  Array.iteri
+    (fun i want -> check_int (Printf.sprintf "%s %d" name i) want (draw t))
+    pins
+
+let pinned_float () =
+  let t = Rng.create ~seed:pinned_seed in
+  Array.iteri
+    (fun i want ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "float %d" i) want
+        (Rng.float t 1.0))
+    pin_float
+
+let pinned_bool () =
+  let t = Rng.create ~seed:pinned_seed in
+  String.iteri
+    (fun i c ->
+      check_bool (Printf.sprintf "bool %d" i) (Char.equal c '1') (Rng.bool t))
+    pin_bool
+
+(* The integer draws are the simulator's innermost loop (link latency,
+   loss and fault draws, peer selection, adversary volleys); they must
+   not allocate.  The probe's own allocation (the boxed float returned by
+   [Gc.minor_words]) is measured and subtracted. *)
+let minor_words_of f =
+  let a = Gc.minor_words () in
+  let b = Gc.minor_words () in
+  let own = b -. a in
+  let before = Gc.minor_words () in
+  f ();
+  let after = Gc.minor_words () in
+  after -. before -. own
+
+let draws_allocate_nothing () =
+  let t = Rng.create ~seed:7 in
+  let check name f =
+    Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (minor_words_of f)
+  in
+  check "Rng.int t 100" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Rng.int t 100)
+      done);
+  check "Rng.bits" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Rng.bits t)
+      done);
+  check "Rng.bool" (fun () ->
+      for _ = 1 to 10_000 do
+        ignore (Rng.bool t)
+      done)
+
 (* --- Rng --- *)
 
 let rng () = Rng.create ~seed:424242
@@ -382,6 +543,20 @@ let () =
           Alcotest.test_case "zero state rejected" `Quick
             xoshiro_zero_state_rejected;
           Alcotest.test_case "copy independence" `Quick xoshiro_copy_independent;
+        ] );
+      ( "pinned streams",
+        [
+          Alcotest.test_case "xoshiro256 next" `Quick pinned_xoshiro;
+          Alcotest.test_case "rng bits" `Quick
+            (pinned_ints "bits" Rng.bits pin_bits);
+          Alcotest.test_case "rng int (power of two)" `Quick
+            (pinned_ints "int 64" (fun t -> Rng.int t 64) pin_int64);
+          Alcotest.test_case "rng int (other bound)" `Quick
+            (pinned_ints "int 1000" (fun t -> Rng.int t 1000) pin_int1000);
+          Alcotest.test_case "rng float" `Quick pinned_float;
+          Alcotest.test_case "rng bool" `Quick pinned_bool;
+          Alcotest.test_case "int draws allocate nothing" `Quick
+            draws_allocate_nothing;
         ] );
       ( "rng",
         [
