@@ -5,6 +5,8 @@
 open Cmdliner
 open Basalt_experiments
 module Pool = Basalt_parallel.Pool
+module Spec = Basalt_scenario.Spec
+module Matrix = Basalt_scenario.Matrix
 
 let scale_arg =
   let parse s = Result.map_error (fun e -> `Msg e) (Scale.of_string s) in
@@ -26,9 +28,9 @@ let csv_arg =
 let trace_arg =
   let doc =
     "Write a deterministic JSONL event trace (lib/obs, DESIGN.md \xc2\xa78) to \
-     $(docv).  Supported by $(b,cost), $(b,timeline), \
-     $(b,robustness-net) and $(b,broadcast), whose tables then also report \
-     instrument-sourced metrics; other targets warn and ignore the flag \
+     $(docv).  Supported by $(b,cost), $(b,timeline), $(b,matrix) and the \
+     scenario-file targets ($(b,robustness-net), $(b,broadcast), \
+     $(b,robustness), $(b,churn)); other targets warn and ignore the flag \
      (sweeps would record millions of events)."
   in
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
@@ -79,8 +81,8 @@ let warn_no_trace cmd_name = function
   | None -> ()
   | Some _ ->
       Printf.eprintf
-        "repro %s: --trace is only supported by cost, timeline, \
-         robustness-net and broadcast; ignoring\n\
+        "repro %s: --trace is only supported by cost, timeline, matrix, \
+         robustness-net, broadcast, robustness and churn; ignoring\n\
          %!"
         cmd_name
 
@@ -94,6 +96,18 @@ let with_jobs jobs f =
   | _ ->
       prerr_endline "repro: -j must be >= 0";
       exit 1
+
+(* Streams every matrix's trace into one file, then names it. *)
+let with_trace trace f =
+  match trace with
+  | None -> f None
+  | Some path ->
+      Out_channel.with_open_bin path (fun oc -> f (Some oc));
+      Printf.printf "(trace written to %s)\n%!" path
+
+let run_matrix ~scale ~csv_dir ~trace ~pool spec =
+  Matrix.print ~scale ?csv:(csv_path csv_dir (Spec.slug spec)) ?trace ?pool
+    spec
 
 let timed cmd_name f scale csv_dir trace jobs =
   validate_csv_dir csv_dir;
@@ -142,22 +156,33 @@ let params ~scale ~csv_dir:_ ~pool:_ () = Params.print ~scale ()
 let cost ~scale ~csv_dir ~trace ~pool:_ () =
   Cost.print ~scale ?csv:(csv_path csv_dir "cost") ?trace ()
 
-let churn ~scale ~csv_dir ~pool () =
-  Churn_exp.print ~scale ?csv:(csv_path csv_dir "churn") ?pool ()
-
 let sybil ~scale ~csv_dir ~pool () =
   Sybil.print ~scale ?csv:(csv_path csv_dir "sybil") ?pool ()
 
-let robustness ~scale ~csv_dir ~pool () =
-  Robustness.print ~scale ?csv:(csv_path csv_dir "robustness") ?pool ()
+(* The sweep-shaped targets are committed scenario files (scenarios/,
+   embedded at build time so they run from any directory), printed in
+   order into one shared trace. *)
+let committed files ~scale ~csv_dir ~trace ~pool () =
+  let specs =
+    List.map
+      (fun file ->
+        match
+          Spec.of_string ~file:("scenarios/" ^ file)
+            (List.assoc file Scenario_files.files)
+        with
+        | Ok spec -> spec
+        | Error msg ->
+            prerr_endline msg;
+            exit 4)
+      files
+  in
+  with_trace trace (fun trace ->
+      List.iter (run_matrix ~scale ~csv_dir ~trace ~pool) specs)
 
-let robustness_net ~scale ~csv_dir ~trace ~pool () =
-  Robustness_net.print ~scale
-    ?csv:(csv_path csv_dir "robustness_net")
-    ?trace ?pool ()
-
-let broadcast ~scale ~csv_dir ~trace ~pool () =
-  Broadcast.print ~scale ?csv:(csv_path csv_dir "broadcast") ?trace ?pool ()
+let churn = committed [ "churn.scn" ]
+let robustness = committed [ "robustness.scn"; "robustness_latency.scn" ]
+let robustness_net = committed [ "robustness_net.scn" ]
+let broadcast = committed [ "broadcast.scn" ]
 
 let uniformity ~scale ~csv_dir ~pool () =
   Uniformity.print ~scale ?csv:(csv_path csv_dir "uniformity") ?pool ()
@@ -178,9 +203,9 @@ let all ~scale ~csv_dir ~trace ~pool () =
   cost ~scale ~csv_dir ~trace ~pool ()
 
 let extensions ~scale ~csv_dir ~pool () =
-  churn ~scale ~csv_dir ~pool ();
+  churn ~scale ~csv_dir ~trace:None ~pool ();
   sybil ~scale ~csv_dir ~pool ();
-  robustness ~scale ~csv_dir ~pool ();
+  robustness ~scale ~csv_dir ~trace:None ~pool ();
   robustness_net ~scale ~csv_dir ~trace:None ~pool ();
   uniformity ~scale ~csv_dir ~pool ();
   dag ~scale ~csv_dir ~pool ();
@@ -211,14 +236,13 @@ let cmds =
     cmd "params" ~doc:"Table 1 parameter envelope and stability checks"
       (untraced "params" params);
     cmd "cost" ~doc:"Communication-cost accounting (Section 4.3 budget)" cost;
-    cmd "churn" ~doc:"Extension: sample quality under continuous churn"
-      (untraced "churn" churn);
+    cmd "churn" ~doc:"Extension: sample quality under continuous churn" churn;
     cmd "sybil"
       ~doc:"Extension: institutional Sybil attack vs prefix-diverse ranking"
       (untraced "sybil" sybil);
     cmd "robustness"
       ~doc:"Extension: resilience to message loss and latency jitter"
-      (untraced "robustness" robustness);
+      robustness;
     cmd "robustness-net"
       ~doc:
         "Extension: convergence under fault plans (burst loss, partitions, \
@@ -235,7 +259,9 @@ let cmds =
       (untraced "dag" dag);
     cmd "all" ~doc:"Run every paper experiment in sequence" all;
     cmd "extensions"
-      ~doc:"Run the extension experiments (churn, sybil, robustness, uniformity, dag)"
+      ~doc:
+        "Run the extension experiments (churn, sybil, robustness, \
+         robustness-net, uniformity, dag, broadcast)"
       (untraced "extensions" extensions);
   ]
 
@@ -288,7 +314,7 @@ let matrix_cmd =
   let run file scale csv_dir trace jobs =
     validate_csv_dir csv_dir;
     validate_trace trace;
-    match Basalt_scenario.Spec.load file with
+    match Spec.load file with
     | Error (`Unreadable msg) ->
         Printf.eprintf "repro matrix: cannot read %s: %s\n%!" file msg;
         exit 3
@@ -298,9 +324,8 @@ let matrix_cmd =
     | Ok spec ->
         let t0 = Unix.gettimeofday () in
         with_jobs jobs (fun pool ->
-            Basalt_scenario.Matrix.print ~scale
-              ?csv:(csv_path csv_dir (Basalt_scenario.Spec.slug spec))
-              ?trace ?pool spec);
+            with_trace trace (fun trace ->
+                run_matrix ~scale ~csv_dir ~trace ~pool spec));
         Printf.printf "[matrix done in %.1fs]\n\n%!"
           (Unix.gettimeofday () -. t0)
   in

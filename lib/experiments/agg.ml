@@ -1,6 +1,5 @@
-(* Shared aggregation helpers for multi-seed experiment sweeps.  The
-   matrix driver (lib/scenario) reuses these, so a scenario file that
-   mirrors a hand-written experiment reproduces its numbers exactly. *)
+(* Shared aggregation helpers for multi-seed experiment sweeps: the
+   matrix driver (lib/scenario) and Fig3 fold their runs through these. *)
 
 let mean f xs =
   List.fold_left (fun acc x -> acc +. f x) 0.0 xs /. float_of_int (List.length xs)

@@ -1,9 +1,9 @@
 (** Aggregation helpers shared by the multi-seed experiment sweeps and
     the declarative matrix driver (lib/scenario, DESIGN.md §12).
 
-    The hand-written experiments and the scenario files that reproduce
-    them must agree byte-for-byte, so both routes go through these
-    functions rather than re-deriving the statistics. *)
+    {!mean} folds left from [0.0] exactly as {!Basalt_sim.Sweep.aggregate}
+    does, so a matrix metric and a Sweep aggregate of the same runs agree
+    bit for bit. *)
 
 val mean : ('a -> float) -> 'a list -> float
 (** [mean f xs] is the arithmetic mean of [f] over [xs] ([nan] on the

@@ -102,10 +102,8 @@ let write_trace path rows =
     (fun () ->
       List.iter
         (fun row ->
-          output_string oc
-            (Obs.events_to_jsonl
-               ~extra:[ ("proto", Obs.Str row.protocol) ]
-               row.obs))
+          Obs.output_jsonl ~extra:[ ("proto", Obs.Str row.protocol) ] oc
+            row.obs)
         rows)
 
 let print ?(scale = Scale.Standard) ?csv ?trace () =

@@ -1,8 +1,6 @@
-(* The broadcast experiment's application layer, extracted so the
-   declarative matrix driver (lib/scenario) can mount the exact same
-   gossip workload: identical publish plan, identical per-node RNG
-   splits, identical delivery accounting — a scenario file that mirrors
-   the broadcast experiment reproduces its table byte-for-byte. *)
+(* The gossip application a scenario file mounts with (app (gossip ...)):
+   the publish plan, the per-node RNG splits and the delivery accounting
+   of the broadcast experiment (scenarios/broadcast.scn). *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner

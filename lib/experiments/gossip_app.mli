@@ -3,10 +3,9 @@
     Mounts the epidemic broadcast layer (lib/gossip, DESIGN.md §11) on a
     {!Basalt_sim.Runner} run via its [?app] hook and publishes a
     deterministic plan of messages from rotating correct publishers.
-    Both the hand-written broadcast experiment and the declarative
-    matrix driver (lib/scenario, DESIGN.md §12) run exactly this code,
-    which is what makes a scenario file reproduce the broadcast table
-    byte-for-byte. *)
+    The matrix driver (lib/scenario, DESIGN.md §12) runs it for every
+    scenario file that mounts [(app (gossip ...))], such as
+    [scenarios/broadcast.scn]. *)
 
 type params = {
   publishes : int;  (** Messages published over the run. *)

@@ -74,6 +74,6 @@ let print ?csv ?trace s =
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc (Basalt_obs.Obs.events_to_jsonl sink));
+        (fun () -> Basalt_obs.Obs.output_jsonl oc sink);
       Printf.printf "(trace written to %s)\n" path
   | _ -> ()

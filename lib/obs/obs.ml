@@ -491,14 +491,14 @@ let event_to_json ?(extra = []) e =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-let events_to_jsonl ?extra t =
-  let buf = Buffer.create 4096 in
+(* One line at a time, so a trace never has to fit in memory twice: a
+   quick-scale broadcast sweep renders well over a gigabyte of JSONL. *)
+let output_jsonl ?extra oc t =
   List.iter
     (fun e ->
-      Buffer.add_string buf (event_to_json ?extra e);
-      Buffer.add_char buf '\n')
-    (events t);
-  Buffer.contents buf
+      output_string oc (event_to_json ?extra e);
+      output_char oc '\n')
+    (events t)
 
 (* A hand-rolled parser for exactly the JSON subset event_to_json emits:
    one flat object of string/number values per line. *)

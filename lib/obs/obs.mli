@@ -327,9 +327,10 @@ val event_to_json : ?extra:(string * value) list -> event -> string
     interleaved right after ["ev"] (used to tag merged streams, e.g.
     with the protocol name). *)
 
-val events_to_jsonl : ?extra:(string * value) list -> t -> string
-(** [events_to_jsonl t] is one {!event_to_json} line per event,
-    oldest first, each ["\n"]-terminated. *)
+val output_jsonl : ?extra:(string * value) list -> out_channel -> t -> unit
+(** [output_jsonl oc t] writes one {!event_to_json} line per event to
+    [oc], oldest first, each ["\n"]-terminated.  Lines are streamed, so
+    the whole trace is never rendered in memory. *)
 
 val event_of_json : string -> event option
 (** [event_of_json line] parses a line produced by {!event_to_json}

@@ -3,11 +3,10 @@
    scale presets into a Basalt_sim.Scenario, fans the flat cell × seed
    task list over an optional Pool (order-preserving, so tables and
    traces are bit-identical at any -j N), and renders the pivot axis as
-   metric columns.  All aggregation goes through
-   Basalt_experiments.Agg and the gossip workload through
-   Basalt_experiments.Gossip_app — the same code the hand-written
-   experiments run — which is what makes a scenario file mirroring
-   robustness-net or broadcast reproduce its table byte-for-byte. *)
+   metric columns.  Aggregation goes through Basalt_experiments.Agg and
+   the gossip workload through Basalt_experiments.Gossip_app.  The
+   sweep-shaped `repro` targets (robustness-net, broadcast, robustness,
+   churn) are committed scenario files run through here. *)
 
 module Scenario = Basalt_sim.Scenario
 module Runner = Basalt_sim.Runner
@@ -44,8 +43,8 @@ let link_of (l : Spec.link_fault) =
   Fault.link ?loss:l.lf_loss ?latency:l.lf_latency ?dup:l.lf_dup
     ?reorder:l.lf_reorder ?reorder_window:l.lf_reorder_window ()
 
-(* Window fractions scale with the run; 1/4- and 1/2-of-run windows
-   resolve to the exact floats the hand-written experiments pass. *)
+(* Window and churn-start fractions scale with the run; power-of-two
+   fractions such as 1/4 resolve to exactly [steps /. 4.0]. *)
 let fault_of ~n ~steps (forms : Spec.fault_form list) =
   let base = ref None and partitions = ref [] and outages = ref [] in
   List.iter
@@ -84,8 +83,9 @@ let scenario_of (spec : Spec.t) scale (s : Spec.settings) ~seed =
   let churn =
     Option.map
       (fun (c : Spec.churn) ->
-        Churn.make ?start:c.churn_start ?style:c.churn_style
-          ~rate:c.churn_rate ())
+        Churn.make
+          ?start:(Option.map (fun frac -> frac *. steps) c.churn_start_frac)
+          ?style:c.churn_style ~rate:c.churn_rate ())
       s.Spec.churn
   in
   Scenario.make ~name:spec.Spec.name ~n ?f:s.Spec.f ?force:s.Spec.force
@@ -142,21 +142,42 @@ let tasks ?(scale = Scale.Standard) (spec : Spec.t) =
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
 
-let run_tasks ?(scale = Scale.Standard) ?(trace = false) ?pool (spec : Spec.t)
-    =
-  let ts = tasks ~scale spec in
-  let runs =
-    Pool.map ?pool
-      (fun t ->
-        match spec.Spec.app with
-        | Some params ->
-            let result, summary = Gossip_app.run ~params ~trace t.scenario in
-            { result; gossip = Some summary }
-        | None ->
-            { result = Runner.run ~obs:trace ~trace t.scenario; gossip = None })
-      ts
+let run_one (spec : Spec.t) ~trace t =
+  match spec.Spec.app with
+  | Some params ->
+      let result, summary = Gossip_app.run ~params ~trace t.scenario in
+      { result; gossip = Some summary }
+  | None -> { result = Runner.run ~obs:trace ~trace t.scenario; gossip = None }
+
+(* Consecutive groups of at most [k], in order. *)
+let rec batches k xs =
+  let rec take i acc = function
+    | x :: rest when i > 0 -> take (i - 1) (x :: acc) rest
+    | rest -> (List.rev acc, rest)
   in
-  (ts, runs)
+  match take k [] xs with [], _ -> [] | batch, rest -> batch :: batches k rest
+
+(* With a trace, tasks run one pool-width batch at a time, and each
+   batch's events are streamed out in task order before the next batch
+   starts; the kept runs drop their event logs.  A whole sweep's logs
+   would not fit in memory (gigabytes for broadcast at quick scale). *)
+let run_tasks ?(scale = Scale.Standard) ?trace ?pool (spec : Spec.t) =
+  let ts = tasks ~scale spec in
+  match trace with
+  | None -> (ts, Pool.map ?pool (run_one spec ~trace:false) ts)
+  | Some oc ->
+      let width = match pool with Some p -> Pool.domain_count p | None -> 1 in
+      let stream t r =
+        match r.result.Runner.obs with
+        | Some sink ->
+            Obs.output_jsonl ~extra:t.trace_extra oc sink;
+            { r with result = { r.result with Runner.obs = None } }
+        | None -> r
+      in
+      let run_batch batch =
+        List.map2 stream batch (Pool.map ?pool (run_one spec ~trace:true) batch)
+      in
+      (ts, List.concat_map run_batch (batches width ts))
 
 (* ------------------------------------------------------------------ *)
 (* Rows and metric columns                                             *)
@@ -215,6 +236,11 @@ let eval_metric (spec : Spec.t) metric (g : group) =
         (Agg.mean
            (fun r -> r.result.Runner.final.Measurements.sample_byz)
            runs)
+  | Spec.Isolated ->
+      Report.float_cell
+        (Agg.mean (fun r -> r.result.Runner.final.Measurements.isolated) runs)
+  | Spec.Replacements ->
+      string_of_int (Agg.sum (fun r -> r.result.Runner.nodes_churned) runs)
   | Spec.Delivered_sent ->
       let sent =
         Agg.sum (fun r -> r.result.Runner.transport.Engine.sent) runs
@@ -285,20 +311,7 @@ let run ?(scale = Scale.Standard) ?pool (spec : Spec.t) =
   rows_of ~scale spec ts runs
 
 (* ------------------------------------------------------------------ *)
-(* Trace merging and printing                                          *)
-
-let write_trace path ts runs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter2
-        (fun t r ->
-          match r.result.Runner.obs with
-          | Some sink ->
-              output_string oc (Obs.events_to_jsonl ~extra:t.trace_extra sink)
-          | None -> ())
-        ts runs)
+(* Printing                                                            *)
 
 let print ?(scale = Scale.Standard) ?csv ?trace ?pool (spec : Spec.t) =
   let cell_count = List.length (cells spec) in
@@ -308,11 +321,6 @@ let print ?(scale = Scale.Standard) ?csv ?trace ?pool (spec : Spec.t) =
        spec.Spec.name cell_count seed_count
        (if seed_count = 1 then "" else "s")
        (Scale.to_string scale));
-  let ts, runs = run_tasks ~scale ~trace:(Option.is_some trace) ?pool spec in
+  let ts, runs = run_tasks ~scale ?trace ?pool spec in
   let rows, cols = columns spec (rows_of ~scale spec ts runs) in
-  Output.emit ?csv ~rows cols;
-  match trace with
-  | None -> ()
-  | Some path ->
-      write_trace path ts runs;
-      Output.line (Printf.sprintf "(trace written to %s)" path)
+  Output.emit ?csv ~rows cols

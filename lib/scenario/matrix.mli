@@ -10,10 +10,10 @@
     [Pool.map] preserves task order, so tables, CSVs and merged traces
     are bit-identical at any [-j N].
 
-    Aggregation goes through {!Basalt_experiments.Agg}; a matrix file
-    that mirrors a hand-written experiment (committed under
-    [scenarios/]) therefore reproduces its table byte-for-byte — the
-    CLI equivalence test in [test/test_cli.ml] enforces this. *)
+    Aggregation goes through {!Basalt_experiments.Agg}.  The committed
+    files under [scenarios/] are the definitions of the sweep-shaped
+    [repro] targets; [test/test_cli.ml] pins their quick-scale tables
+    byte-for-byte. *)
 
 type run = {
   result : Basalt_sim.Runner.result;
@@ -35,12 +35,15 @@ val tasks : ?scale:Basalt_experiments.Scale.t -> Spec.t -> task list
 
 val run_tasks :
   ?scale:Basalt_experiments.Scale.t ->
-  ?trace:bool ->
+  ?trace:out_channel ->
   ?pool:Basalt_parallel.Pool.t ->
   Spec.t ->
   task list * run list
 (** [run_tasks spec] executes every task (in task order, whatever the
-    pool's parallelism); [trace] enables per-run event collection. *)
+    pool's parallelism).  With [trace], each run's JSONL events, tagged
+    with its [trace_extra], are written to the channel in task order as
+    soon as its pool-width batch completes, and the returned runs carry
+    no event log ([obs = None]), so memory holds one batch of logs. *)
 
 type group = {
   g_scenario : Basalt_sim.Scenario.t;
@@ -74,11 +77,12 @@ val columns : Spec.t -> row list -> int * Basalt_sim.Report.column list
 val print :
   ?scale:Basalt_experiments.Scale.t ->
   ?csv:string ->
-  ?trace:string ->
+  ?trace:out_channel ->
   ?pool:Basalt_parallel.Pool.t ->
   Spec.t ->
   unit
 (** [print spec] runs the matrix and prints its table; [csv] also
-    writes the rows as CSV, [trace] dumps the merged deterministic
+    writes the rows as CSV, [trace] receives the merged deterministic
     JSONL event trace of every run, tagged with each axis's
-    [trace-key], in task order (byte-identical at any [-j N]). *)
+    [trace-key], in task order (byte-identical at any [-j N]); see
+    {!run_tasks}.  Several matrices may share one trace channel. *)

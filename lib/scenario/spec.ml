@@ -28,7 +28,7 @@ type fault_form =
 
 type churn = {
   churn_rate : float;
-  churn_start : float option;
+  churn_start_frac : float option;
   churn_style : Churn.style option;
 }
 
@@ -97,31 +97,31 @@ type axis = {
 type metric =
   | Time
   | Samples_byz
+  | Isolated
+  | Replacements
   | Delivered_sent
   | Delivered
   | T99
   | Redundancy
 
-let metric_name = function
-  | Time -> "time"
-  | Samples_byz -> "samples_byz"
-  | Delivered_sent -> "delivered/sent"
-  | Delivered -> "delivered"
-  | T99 -> "t99"
-  | Redundancy -> "redundancy"
+(* The grammar keywords, in the order diagnostics list them. *)
+let metric_names =
+  [
+    ("time", Time);
+    ("samples_byz", Samples_byz);
+    ("isolated", Isolated);
+    ("replacements", Replacements);
+    ("delivered/sent", Delivered_sent);
+    ("delivered", Delivered);
+    ("t99", T99);
+    ("redundancy", Redundancy);
+  ]
 
-let metric_of_name = function
-  | "time" -> Some Time
-  | "samples_byz" -> Some Samples_byz
-  | "delivered/sent" -> Some Delivered_sent
-  | "delivered" -> Some Delivered
-  | "t99" -> Some T99
-  | "redundancy" -> Some Redundancy
-  | _ -> None
+let metric_name m = fst (List.find (fun (_, m') -> m' = m) metric_names)
 
 let gossip_metric = function
   | Delivered | T99 | Redundancy -> true
-  | Time | Samples_byz | Delivered_sent -> false
+  | Time | Samples_byz | Isolated | Replacements | Delivered_sent -> false
 
 type t = {
   name : string;
@@ -380,20 +380,20 @@ let churn_of pos (args : Sexp.t list) =
       | "rate" ->
           arity kpos key 1 kargs;
           rate := Some (prob_of (List.nth kargs 0))
-      | "start" ->
+      | "start-frac" ->
           arity kpos key 1 kargs;
-          start := Some (float_of (List.nth kargs 0))
+          start := Some (prob_of (List.nth kargs 0))
       | "style" -> (
           arity kpos key 1 kargs;
           match atom_of (List.nth kargs 0) ~what:"a churn style" with
           | "replace" -> style := Some Churn.Replace
           | "crash" -> style := Some Churn.Crash
           | a -> fail kpos "unknown churn style '%s' (replace|crash)" a)
-      | _ -> fail kpos "unknown churn key '%s' (rate|start|style)" key)
+      | _ -> fail kpos "unknown churn key '%s' (rate|start-frac|style)" key)
     args;
   match !rate with
   | Some churn_rate ->
-      { churn_rate; churn_start = !start; churn_style = !style }
+      { churn_rate; churn_start_frac = !start; churn_style = !style }
   | None -> fail pos "churn needs (rate F)"
 
 (* ------------------------------------------------------------------ *)
@@ -600,14 +600,12 @@ let metrics_of pos (args : Sexp.t list) =
   List.map
     (fun item ->
       let head, margs, mpos = form_of item in
-      match metric_of_name head with
+      match List.assoc_opt head metric_names with
       | Some m ->
           (m, List.map (fun l -> atom_of l ~what:"a pivot label") margs, mpos)
       | None ->
-          fail mpos
-            "unknown metric '%s' \
-             (time|samples_byz|delivered/sent|delivered|t99|redundancy)"
-            head)
+          fail mpos "unknown metric '%s' (%s)" head
+            (String.concat "|" (List.map fst metric_names)))
     args
 
 (* ------------------------------------------------------------------ *)

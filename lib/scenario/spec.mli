@@ -33,7 +33,9 @@ type fault_form =
 
 type churn = {
   churn_rate : float;
-  churn_start : float option;
+  churn_start_frac : float option;
+      (** Churn begins at this fraction of the run (default: at once),
+          so the file stays valid at every scale. *)
   churn_style : Basalt_sim.Churn.style option;
 }
 
@@ -79,6 +81,9 @@ type metric =
   | Time  (** Median convergence time; ["no-convergence"] cell on a
               non-majority. *)
   | Samples_byz  (** Mean Byzantine fraction of the sample stream. *)
+  | Isolated  (** Mean final fraction of isolated correct nodes. *)
+  | Replacements
+      (** Churn replacements summed over seeds, printed as an integer. *)
   | Delivered_sent  (** Transport deliveries over sends. *)
   | Delivered  (** Gossip: mean delivered fraction (needs [(app ...)]). *)
   | T99  (** Gossip: median time-to-99%; ["never"] on a non-majority. *)
@@ -103,7 +108,7 @@ val pivot : t -> axis
 
 val slug : t -> string
 (** [name] with every non-alphanumeric byte replaced by ['_'] — the CSV
-    file base name, matching the hand-written experiments'. *)
+    file base name (["robustness-net"] writes [robustness_net.csv]). *)
 
 val of_string : ?file:string -> string -> (t, string) result
 (** [of_string src] parses and validates a matrix; errors render as

@@ -94,38 +94,77 @@ let unwritable_csv_exits_5 () =
   Alcotest.(check bool) "names the directory" true
     (contains ~needle:"repro: cannot write csv directory /proc/nope" err)
 
-(* --- repro matrix: determinism and hand-written equivalence --- *)
+(* --- repro matrix: determinism and the scenario-file targets --- *)
 
-(* Strips the banner/footer lines that mention wall-clock or file
-   paths, leaving the table body the assertions compare. *)
-let table_body out =
+(* The table lines of a run: drops blank lines and the banner/footer
+   lines that mention wall-clock or file paths. *)
+let table_lines out =
   String.split_on_char '\n' out
   |> List.filter (fun l ->
-         not
-           (String.length l > 0
-           && (l.[0] = '=' || l.[0] = '[' || l.[0] = '(')))
-  |> String.concat "\n"
+         String.length l > 0 && l.[0] <> '=' && l.[0] <> '[' && l.[0] <> '(')
 
 let matrix_j_determinism () =
   let code1, out1, _ = run_repro ("matrix " ^ scenarios ^ "smoke.scn -j 1") in
   let code2, out2, _ = run_repro ("matrix " ^ scenarios ^ "smoke.scn -j 2") in
   Alcotest.(check int) "-j 1 exit 0" 0 code1;
   Alcotest.(check int) "-j 2 exit 0" 0 code2;
-  Alcotest.(check string) "tables bit-identical" (table_body out1)
-    (table_body out2)
+  Alcotest.(check (list string)) "tables bit-identical" (table_lines out1)
+    (table_lines out2)
 
-(* The committed robustness_net.scn reproduces the hand-written
-   experiment's table byte-for-byte (ISSUE acceptance; ~25 s, so
-   `Slow — skipped under -q). *)
-let matrix_reproduces_hand_written () =
-  let code_h, out_h, _ = run_repro "robustness-net -s quick" in
-  let code_m, out_m, _ =
-    run_repro ("matrix " ^ scenarios ^ "robustness_net.scn -s quick")
-  in
-  Alcotest.(check int) "hand-written exit 0" 0 code_h;
-  Alcotest.(check int) "matrix exit 0" 0 code_m;
-  Alcotest.(check string) "tables byte-identical" (table_body out_h)
-    (table_body out_m)
+(* Quick-scale tables of the targets that alias committed scenario
+   files, byte for byte.  The cell values predate the scenario files:
+   they are the numbers the targets printed when each was a hand-written
+   OCaml sweep. *)
+let robustness_net_quick_table =
+  [
+    "condition    basalt_time  brahms_time     sps_time        basalt_samples_byz  brahms_samples_byz  sps_samples_byz  basalt_delivered/sent";
+    "-----------  -----------  --------------  --------------  ------------------  ------------------  ---------------  ---------------------";
+    "clean        47.0000      no-convergence  no-convergence  0.1112              0.2271              0.9798           0.9973               ";
+    "burst-loss   63.0000      no-convergence  no-convergence  0.1139              0.2651              0.9796           0.9209               ";
+    "partition    48.0000      no-convergence  no-convergence  0.1119              0.2873              0.9786           0.8953               ";
+    "dup-reorder  57.0000      no-convergence  no-convergence  0.1133              0.2190              0.9777           1.1938               ";
+  ]
+
+let robustness_quick_table =
+  [
+    "loss_rate  basalt_samples_byz  brahms_samples_byz  basalt_isolated  brahms_isolated";
+    "---------  ------------------  ------------------  ---------------  ---------------";
+    "0.0000     0.1112              0.2271              0.0000           0.0000         ";
+    "0.1000     0.1163              0.2615              0.0000           0.0074         ";
+    "0.2000     0.1215              0.3703              0.0000           0.0963         ";
+    "0.4000     0.1363              0.4953              0.0000           0.4556         ";
+    "jitter  basalt_samples_byz";
+    "------  ------------------";
+    "0.0000  0.1112            ";
+    "0.2500  0.1130            ";
+    "0.5000  0.1135            ";
+    "1.0000  0.1157            ";
+  ]
+
+let churn_quick_table =
+  [
+    "churn_rate  basalt_samples_byz  brahms_samples_byz  basalt_isolated  brahms_isolated  basalt_replacements";
+    "----------  ------------------  ------------------  ---------------  ---------------  -------------------";
+    "0.0000      0.1112              0.2271              0.0000           0.0000           0                  ";
+    "0.0050      0.1155              0.2476              0.0000           0.0000           103                ";
+    "0.0100      0.1183              0.2688              0.0000           0.0074           204                ";
+    "0.0200      0.1424              0.3125              0.0000           0.0000           405                ";
+    "0.0500      0.1638              0.3587              0.0000           0.0000           1028               ";
+  ]
+
+(* ~30 s together, so `Slow — skipped under -q. *)
+let quick_tables_pinned () =
+  List.iter
+    (fun (target, expected) ->
+      let code, out, _ = run_repro (target ^ " -s quick") in
+      Alcotest.(check int) (target ^ " exit 0") 0 code;
+      Alcotest.(check (list string)) (target ^ " table") expected
+        (table_lines out))
+    [
+      ("robustness-net", robustness_net_quick_table);
+      ("robustness", robustness_quick_table);
+      ("churn", churn_quick_table);
+    ]
 
 (* --- bench_gate subcommands --- *)
 
@@ -365,8 +404,7 @@ let () =
           Alcotest.test_case "unwritable csv exits 5" `Quick
             unwritable_csv_exits_5;
           Alcotest.test_case "-j determinism" `Quick matrix_j_determinism;
-          Alcotest.test_case "reproduces hand-written table" `Slow
-            matrix_reproduces_hand_written;
+          Alcotest.test_case "quick tables pinned" `Slow quick_tables_pinned;
         ] );
       ( "bench_gate",
         [

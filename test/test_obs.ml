@@ -159,6 +159,14 @@ let trace_off_by_default () =
   Obs.trace t ~name:"e" [];
   check_int "trace is a no-op" 0 (Obs.event_count t)
 
+(* Streams [t]'s trace through a temporary file and reads it back. *)
+let jsonl_of ?extra t =
+  let path = Filename.temp_file "obs" ".jsonl" in
+  Out_channel.with_open_bin path (fun oc -> Obs.output_jsonl ?extra oc t);
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  s
+
 let jsonl_round_trip () =
   let t = Obs.create ~clock:(fun () -> 3.25) ~trace:true () in
   Obs.trace t ~name:"msg"
@@ -168,7 +176,7 @@ let jsonl_round_trip () =
       ("kind", Obs.Str "pull-reply");
       ("quoted", Obs.Str "a\"b\\c");
     ];
-  let line = String.trim (Obs.events_to_jsonl t) in
+  let line = String.trim (jsonl_of t) in
   check_bool "looks like json" true
     (String.length line > 2 && line.[0] = '{'
     && line.[String.length line - 1] = '}');
@@ -190,7 +198,7 @@ let jsonl_extra_fields () =
   let t = Obs.create ~trace:true () in
   Obs.trace t ~name:"e" [ ("k", Obs.Int 1) ];
   let line =
-    String.trim (Obs.events_to_jsonl ~extra:[ ("proto", Obs.Str "basalt") ] t)
+    String.trim (jsonl_of ~extra:[ ("proto", Obs.Str "basalt") ] t)
   in
   match Obs.event_of_json line with
   | None -> Alcotest.fail "parse with extra failed"

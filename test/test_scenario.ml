@@ -2,8 +2,8 @@
    round-trip, the malformed-input corpus with its pinned positioned
    diagnostics, the committed scenario files, and the static shape of
    the matrix expansion.  The subprocess-level contract (exit codes,
-   byte-for-byte table equivalence against the hand-written
-   experiments) lives in test_cli.ml. *)
+   the pinned quick-scale tables of the scenario-file targets) lives in
+   test_cli.ml. *)
 
 module Check = Basalt_check.Check
 module Sexp = Basalt_scenario.Sexp
@@ -88,13 +88,15 @@ let corpus =
       "1:1: pivot axis 'condition' must be the last axis declared" );
     ( "unknown_metric.scn",
       "5:12: unknown metric 'latency' \
-       (time|samples_byz|delivered/sent|delivered|t99|redundancy)" );
+       (time|samples_byz|isolated|replacements|delivered/sent|delivered|t99|redundancy)"
+    );
     ( "gossip_metric_no_app.scn",
       "5:12: metric 'delivered' needs (app (gossip ...))" );
     ( "no_protocol.scn",
       "1:1: no protocol bound: set (protocol ...) in (base ...) or on every \
        entry of an axis" );
     ("seeds_in_axis.scn", "3:26: (seeds ...) is only allowed in (base ...)");
+    ("bad_start_frac.scn", "2:58: probability '1.5' out of [0,1]");
   ]
 
 let corpus_diagnostics () =
@@ -155,7 +157,46 @@ let committed_files_load () =
   let spec = load_ok (scenarios_dir ^ "smoke.scn") in
   Alcotest.(check string) "name" "smoke" spec.Spec.name;
   Alcotest.(check (option (list int))) "explicit seeds" (Some [ 1; 2 ])
-    spec.Spec.seeds
+    spec.Spec.seeds;
+  (* The three single-sweep files: one swept axis crossed with a
+     protocol pivot, preset n/v/steps/seeds, no app. *)
+  let metric_names spec =
+    List.map
+      (fun (m, labels) -> String.concat " " (Spec.metric_name m :: labels))
+      spec.Spec.metrics
+  in
+  List.iter
+    (fun (file, name, swept, protocols, metrics) ->
+      let spec = load_ok (scenarios_dir ^ file) in
+      Alcotest.(check string) (file ^ " name") name spec.Spec.name;
+      Alcotest.(check (list string))
+        (file ^ " axes") [ swept; "protocol" ]
+        (List.map (fun ax -> ax.Spec.axis_name) spec.Spec.axes);
+      Alcotest.(check (list string))
+        (file ^ " pivot entries") protocols
+        (List.map (fun e -> e.Spec.label) (Spec.pivot spec).Spec.entries);
+      Alcotest.(check (list string)) (file ^ " metrics") metrics
+        (metric_names spec);
+      Alcotest.(check bool) (file ^ " preset seeds") true
+        (spec.Spec.seeds = None && spec.Spec.base.Spec.n = None);
+      Alcotest.(check bool) (file ^ " no app") true (spec.Spec.app = None))
+    [
+      ( "robustness.scn",
+        "robustness",
+        "loss_rate",
+        [ "basalt"; "brahms" ],
+        [ "samples_byz"; "isolated" ] );
+      ( "robustness_latency.scn",
+        "robustness-latency",
+        "jitter",
+        [ "basalt" ],
+        [ "samples_byz" ] );
+      ( "churn.scn",
+        "churn",
+        "churn_rate",
+        [ "basalt"; "brahms" ],
+        [ "samples_byz"; "isolated"; "replacements basalt" ] );
+    ]
 
 (* --- static expansion shape (no simulation runs) --- *)
 
@@ -233,6 +274,36 @@ let fraction_windows_resolve () =
       | ps ->
           Alcotest.failf "expected one partition, got %d" (List.length ps))
 
+(* A zero entry binds nothing, so it keeps the Scenario.make defaults;
+   churn starts at its run fraction, exactly steps/4 for 0.25. *)
+let zero_entries_and_churn_start () =
+  let basalt_cell file label =
+    let spec = load_ok (scenarios_dir ^ file) in
+    let t =
+      List.find
+        (fun t -> List.map snd t.Matrix.labels = [ label; "basalt" ])
+        (Matrix.tasks ~scale:Basalt_experiments.Scale.Quick spec)
+    in
+    t.Matrix.scenario
+  in
+  let sc = basalt_cell "robustness.scn" "0" in
+  Alcotest.(check bool) "zero loss is Loss.None" true
+    (sc.Basalt_sim.Scenario.loss = Basalt_engine.Link.Loss.None);
+  let sc = basalt_cell "robustness_latency.scn" "0" in
+  Alcotest.(check bool) "zero jitter is Latency.Zero" true
+    (sc.Basalt_sim.Scenario.latency = Basalt_engine.Link.Latency.Zero);
+  let sc = basalt_cell "churn.scn" "0" in
+  Alcotest.(check bool) "zero rate has no churn" true
+    (sc.Basalt_sim.Scenario.churn = None);
+  let sc = basalt_cell "churn.scn" "0.01" in
+  match sc.Basalt_sim.Scenario.churn with
+  | None -> Alcotest.fail "churn cell has no churn model"
+  | Some c ->
+      Alcotest.(check (float 0.0)) "start = steps/4"
+        (sc.Basalt_sim.Scenario.steps /. 4.0)
+        c.Basalt_sim.Churn.start;
+      Alcotest.(check (float 0.0)) "rate" 0.01 c.Basalt_sim.Churn.rate
+
 let () =
   let name, cases = sexp_suite in
   Alcotest.run "scenario"
@@ -252,5 +323,7 @@ let () =
           Alcotest.test_case "broadcast expansion" `Quick broadcast_expansion;
           Alcotest.test_case "fraction windows resolve" `Quick
             fraction_windows_resolve;
+          Alcotest.test_case "zero entries and churn start" `Quick
+            zero_entries_and_churn_start;
         ] );
     ]

@@ -518,8 +518,12 @@ let obs_trace_parallel_determinism () =
            match r.Runner.obs with
            | None -> Alcotest.fail "tracing run should expose its sink"
            | Some sink ->
-               Basalt_obs.Obs.render sink
-               ^ Basalt_obs.Obs.events_to_jsonl sink)
+               let path = Filename.temp_file "trace" ".jsonl" in
+               Out_channel.with_open_bin path (fun oc ->
+                   Basalt_obs.Obs.output_jsonl oc sink);
+               let jsonl = In_channel.with_open_bin path In_channel.input_all in
+               Sys.remove path;
+               Basalt_obs.Obs.render sink ^ jsonl)
          runs)
   in
   let sequential = render (Sweep.run_seeds ~trace:true s ~seeds) in
