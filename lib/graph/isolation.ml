@@ -1,14 +1,2 @@
 let is_isolated ~is_malicious view =
   not (Array.exists (fun id -> not (is_malicious id)) view)
-
-let count ~is_malicious ~views ~correct =
-  List.fold_left
-    (fun acc u -> if is_isolated ~is_malicious (views u) then acc + 1 else acc)
-    0 correct
-
-let fraction ~is_malicious ~views ~correct =
-  match correct with
-  | [] -> 0.0
-  | _ ->
-      float_of_int (count ~is_malicious ~views ~correct)
-      /. float_of_int (List.length correct)

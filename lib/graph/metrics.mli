@@ -13,7 +13,18 @@
 
     Expensive metrics accept sampling knobs so that large snapshots
     remain affordable; with the default [Rng] sampling the estimators are
-    unbiased. *)
+    unbiased.  A metric draws from [rng] only when the correct vertices
+    outnumber its sample size, and then exactly one
+    [Rng.sample_without_replacement] call over them in ascending order.
+
+    The kernels work on flat arrays: each call reads [is_malicious] once
+    per vertex into a mask; clustering builds the undirected closure once
+    in compressed-row form and counts each sampled vertex's connected
+    neighbor pairs as an exact integer; the path-length search reuses one
+    array queue and one visit-stamp array across sources and sums
+    distances as integers.  Results are bit-identical to the textbook per-vertex
+    hash-table formulation, which [test/test_graph.ml] keeps as a
+    differential oracle. *)
 
 val clustering_coefficient :
   ?sample:int ->
@@ -45,14 +56,3 @@ val indegrees_correct : is_malicious:(int -> bool) -> Digraph.t -> int array
 (** [indegrees_correct ~is_malicious g] is the in-degree of each correct
     vertex, counting only edges from correct vertices (the raw data behind
     {!indegree_decile_spread}). *)
-
-val reachable_fraction :
-  ?sources:int ->
-  rng:Basalt_prng.Rng.t ->
-  is_malicious:(int -> bool) ->
-  Digraph.t ->
-  float
-(** [reachable_fraction ~rng ~is_malicious g] is the average fraction of
-    correct vertices reachable from a sampled correct source through
-    correct vertices only — 1.0 in a healthy overlay, collapsing towards 0
-    under partition. *)

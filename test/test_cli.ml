@@ -152,6 +152,30 @@ let churn_quick_table =
     "0.0500      0.1638              0.3587              0.0000           0.0000           1028               ";
   ]
 
+(* [repro fig4 -s quick], byte for byte: the only pin on the Fig. 4 graph
+   metrics (clustering, mean path length, in-degree spread) as the
+   runner computes them at each measurement.  ~1 s. *)
+let fig4_quick_table =
+  [
+    "time     basalt_view_byz  basalt_clustering  basalt_mean_path  basalt_indeg_spread  brahms_view_byz  brahms_clustering  brahms_mean_path  brahms_indeg_spread";
+    "-------  ---------------  -----------------  ----------------  -------------------  ---------------  -----------------  ----------------  -------------------";
+    "10.0000  0.1203           0.2255             1.9065            20.1000              0.4175           0.2682             2.3627            14.1000            ";
+    "20.0000  0.1058           0.2243             1.8931            16.0000              0.4634           0.3069             2.4234            13.0000            ";
+    "30.0000  0.1034           0.2248             1.8908            15.1000              0.4101           0.2694             2.3389            14.0000            ";
+    "40.0000  0.1046           0.2221             1.8891            14.0000              0.3953           0.2569             2.3259            12.1000            ";
+    "50.0000  0.1023           0.2218             1.8871            13.0000              0.3803           0.2480             2.2864            13.0000            ";
+    "60.0000  0.1053           0.2226             1.8905            13.0000              0.3494           0.2282             2.2519            14.1000            ";
+    "70.0000  0.1066           0.2220             1.8918            15.0000              0.3746           0.2417             2.2893            14.0000            ";
+    "80.0000  0.1034           0.2231             1.8866            13.1000              0.4145           0.2705             2.3475            12.1000            ";
+    "basalt: view_byz relaxes to 0.1050 with time constant tau = 19.5 (half-life 13.5, r2 = 0.43)";
+    "brahms: view_byz relaxes to 0.3945 with time constant tau = 79.6 (half-life 55.2, r2 = 0.02)";
+  ]
+
+let fig4_table_pinned () =
+  let code, out, _ = run_repro "fig4 -s quick" in
+  Alcotest.(check int) "fig4 exit 0" 0 code;
+  Alcotest.(check (list string)) "fig4 table" fig4_quick_table (table_lines out)
+
 (* ~30 s together, so `Slow — skipped under -q. *)
 let quick_tables_pinned () =
   List.iter
@@ -392,6 +416,7 @@ let () =
           Alcotest.test_case "--help succeeds" `Quick help_succeeds;
           Alcotest.test_case "subcommand --help succeeds" `Quick
             subcommand_help_succeeds;
+          Alcotest.test_case "fig4 table pinned" `Quick fig4_table_pinned;
         ] );
       ( "matrix",
         [

@@ -1,7 +1,8 @@
-(* Tests for basalt.graph: snapshots, metrics, isolation, components. *)
+(* Tests for basalt.graph: snapshots, metrics, isolation, generators. *)
 
 open Basalt_graph
 module Node_id = Basalt_proto.Node_id
+module Check = Basalt_check.Check
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -28,24 +29,6 @@ let digraph_out_of_range () =
 let digraph_in_degrees () =
   let g = Digraph.of_adjacency [| [| 1; 2 |]; [| 2 |]; [||] |] in
   Alcotest.(check (array int)) "in-degrees" [| 0; 1; 2 |] (Digraph.in_degrees g)
-
-let digraph_transpose () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [||] |] in
-  let r = Digraph.transpose g in
-  check_bool "reversed edge" true (Digraph.has_edge r 1 0);
-  check_bool "reversed edge 2" true (Digraph.has_edge r 2 1);
-  check_int "edge count preserved" (Digraph.edge_count g) (Digraph.edge_count r)
-
-let digraph_has_edge () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [||] |] in
-  check_bool "present" true (Digraph.has_edge g 0 1);
-  check_bool "absent" false (Digraph.has_edge g 1 0)
-
-let digraph_undirected_neighbors () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [| 0 |] |] in
-  let u = Digraph.undirected_neighbors g 0 in
-  Alcotest.(check (list int)) "union of both directions" [ 1; 2 ]
-    (List.sort Int.compare (Array.to_list u))
 
 let digraph_of_views () =
   let views = [| [| id 1; id 1 |]; [| id 0 |]; [||] |] in
@@ -99,16 +82,6 @@ let path_length_skips_malicious () =
   in
   check_bool "no correct path" true (Float.is_nan mpl)
 
-let reachable_fraction_cases () =
-  let complete = complete_graph 4 in
-  check_float "complete reaches all" 1.0
-    (Metrics.reachable_fraction ~rng:(rng ()) ~is_malicious:no_malicious
-       complete);
-  let disconnected = Digraph.of_adjacency [| [||]; [||] |] in
-  check_float "no edges reaches none" 0.0
-    (Metrics.reachable_fraction ~rng:(rng ()) ~is_malicious:no_malicious
-       disconnected)
-
 let indegree_metrics () =
   (* Ring: every in-degree is 1 -> spread 0. *)
   let ring = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [| 3 |]; [| 0 |] |] in
@@ -123,6 +96,223 @@ let indegree_ignores_malicious_edges () =
   let deg = Metrics.indegrees_correct ~is_malicious:(fun u -> u = 0) g in
   Alcotest.(check (array int)) "only correct-to-correct" [| 0; 1 |] deg
 
+(* --- Differential oracle --- *)
+
+(* The textbook per-vertex hash-table formulation of the same snapshot
+   and metrics, the reference the flat-array kernels must match bit for
+   bit: row dedup through a [Hashtbl] per row, undirected adjacency as
+   one [Hashtbl] per vertex with O(d^2) pair lookups, and a [Queue] BFS
+   with a fresh distance array per source and float accumulation. *)
+module Naive = struct
+  module Rng = Basalt_prng.Rng
+
+  let dedup_row n u row =
+    let seen = Hashtbl.create (Array.length row) in
+    let out = ref [] in
+    Array.iter
+      (fun v ->
+        if v < 0 || v >= n then invalid_arg "Digraph: vertex out of range";
+        if v <> u && not (Hashtbl.mem seen v) then begin
+          Hashtbl.add seen v ();
+          out := v :: !out
+        end)
+      row;
+    Array.of_list (List.rev !out)
+
+  let correct_vertices ~is_malicious g =
+    let out = ref [] in
+    for u = Digraph.n g - 1 downto 0 do
+      if not (is_malicious u) then out := u :: !out
+    done;
+    Array.of_list !out
+
+  let sample_vertices rng vertices k =
+    if Array.length vertices <= k then vertices
+    else Rng.sample_without_replacement rng ~k vertices
+
+  let undirected_sets g =
+    let n = Digraph.n g in
+    let sets = Array.init n (fun _ -> Hashtbl.create 8) in
+    for u = 0 to n - 1 do
+      Array.iter
+        (fun v ->
+          Hashtbl.replace sets.(u) v ();
+          Hashtbl.replace sets.(v) u ())
+        (Digraph.out_neighbors g u)
+    done;
+    sets
+
+  let clustering_coefficient ?(sample = 400) ~rng ~is_malicious g =
+    let sets = undirected_sets g in
+    let correct = correct_vertices ~is_malicious g in
+    let picked = sample_vertices rng correct sample in
+    if Array.length picked = 0 then 0.0
+    else begin
+      let total = ref 0.0 in
+      Array.iter
+        (fun u ->
+          let neighbors = Hashtbl.fold (fun v () acc -> v :: acc) sets.(u) [] in
+          let neighbors = Array.of_list neighbors in
+          let d = Array.length neighbors in
+          if d >= 2 then begin
+            let connected = ref 0 in
+            for i = 0 to d - 1 do
+              for j = i + 1 to d - 1 do
+                let a = neighbors.(i) and b = neighbors.(j) in
+                if (is_malicious a && is_malicious b) || Hashtbl.mem sets.(a) b
+                then incr connected
+              done
+            done;
+            let pairs = d * (d - 1) / 2 in
+            total := !total +. (float_of_int !connected /. float_of_int pairs)
+          end)
+        picked;
+      !total /. float_of_int (Array.length picked)
+    end
+
+  let bfs_correct ~is_malicious g source =
+    let dist = Array.make (Digraph.n g) (-1) in
+    let queue = Queue.create () in
+    dist.(source) <- 0;
+    Queue.add source queue;
+    while not (Queue.is_empty queue) do
+      let u = Queue.pop queue in
+      Array.iter
+        (fun v ->
+          if dist.(v) < 0 && not (is_malicious v) then begin
+            dist.(v) <- dist.(u) + 1;
+            Queue.add v queue
+          end)
+        (Digraph.out_neighbors g u)
+    done;
+    dist
+
+  let mean_path_length ?(sources = 64) ~rng ~is_malicious g =
+    let correct = correct_vertices ~is_malicious g in
+    let picked =
+      sample_vertices rng
+        (Array.of_list
+           (List.filter (fun u -> not (is_malicious u)) (Array.to_list correct)))
+        sources
+    in
+    let total = ref 0.0 and count = ref 0 in
+    Array.iter
+      (fun source ->
+        Array.iteri
+          (fun v d ->
+            if d > 0 && v <> source then begin
+              total := !total +. float_of_int d;
+              incr count
+            end)
+          (bfs_correct ~is_malicious g source))
+      picked;
+    if !count = 0 then Float.nan else !total /. float_of_int !count
+end
+
+type kernel_case = {
+  rows : int array array;
+  malicious : bool array;
+  sample : int;
+  sources : int;
+  seed : int;
+}
+
+(* Random digraphs on at most 40 vertices whose rows repeat targets and
+   include self-loops, a random malicious set, and sample sizes on both
+   sides of the correct-vertex count (so some cases draw and some do
+   not). *)
+let gen_kernel_case =
+  let open Check.Gen in
+  bind (int_range 0 40) (fun n ->
+      let row =
+        if n = 0 then return [||] else array ~max_len:(2 * n) (nat ~max:(n - 1))
+      in
+      map2
+        (fun (rows, malicious) (sample, sources, seed) ->
+          { rows; malicious; sample; sources; seed })
+        (pair (array ~min_len:n ~max_len:n row)
+           (array ~min_len:n ~max_len:n (frequency [ (3, return false); (1, bool) ])))
+        (triple (int_range 0 (n + 2)) (int_range 0 (n + 2)) (nat ~max:1_000_000)))
+
+let print_kernel_case c =
+  Printf.sprintf "{rows=%s; malicious=%s; sample=%d; sources=%d; seed=%d}"
+    (Check.Print.array (Check.Print.array Check.Print.int) c.rows)
+    (Check.Print.array Check.Print.bool c.malicious)
+    c.sample c.sources c.seed
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* The flat-array kernels against [Naive], in the order the runner calls
+   them on one shared stream: identical rows, identical float bits for
+   both metrics (NaN included) and the same next draw afterwards, so the
+   kernels consume exactly the oracle's draws. *)
+let prop_kernels_match_naive =
+  Check.prop ~name:"kernels match hash-table oracle" ~count:300
+    ~print:print_kernel_case gen_kernel_case (fun c ->
+      let n = Array.length c.rows in
+      let g = Digraph.of_adjacency c.rows in
+      let is_malicious u = c.malicious.(u) in
+      let rows_ok =
+        List.for_all
+          (fun u -> Digraph.out_neighbors g u = Naive.dedup_row n u c.rows.(u))
+          (List.init n Fun.id)
+      in
+      let fast = Basalt_prng.Rng.create ~seed:c.seed in
+      let slow = Basalt_prng.Rng.create ~seed:c.seed in
+      let cc =
+        Metrics.clustering_coefficient ~sample:c.sample ~rng:fast ~is_malicious g
+      in
+      let cc' =
+        Naive.clustering_coefficient ~sample:c.sample ~rng:slow ~is_malicious g
+      in
+      let mpl =
+        Metrics.mean_path_length ~sources:c.sources ~rng:fast ~is_malicious g
+      in
+      let mpl' =
+        Naive.mean_path_length ~sources:c.sources ~rng:slow ~is_malicious g
+      in
+      rows_ok && same_bits cc cc' && same_bits mpl mpl'
+      && Basalt_prng.Rng.bits fast = Basalt_prng.Rng.bits slow)
+
+(* Words allocated by [f ()], minor and major heap alike (the undirected
+   closure's arrays are too large for the minor heap), less the probe's
+   own boxed floats. *)
+let words_of f =
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let a = words () in
+  let b = words () in
+  let own = b -. a in
+  let before = words () in
+  f ();
+  let after = words () in
+  after -. before -. own
+
+(* On the benchmark's n=200, d=16 snapshot one clustering call allocates
+   the malicious mask, the correct vertices, the compressed undirected
+   closure (n + 1 offsets, up to 2 * edges neighbors) and two stamp/fill
+   arrays: 7848 words, 2.41 (n + edges).  [Naive] allocates 57245 words
+   (17.6 (n + edges)): a table per vertex and a list and array per
+   sampled vertex. *)
+let clustering_allocation_bounded () =
+  let rng = Basalt_prng.Rng.create ~seed:2 in
+  let g =
+    Digraph.of_views ~n:200 (fun _ ->
+        Array.init 16 (fun _ -> id (Basalt_prng.Rng.int rng 200)))
+  in
+  let is_malicious u = u >= 180 in
+  let words =
+    words_of (fun () ->
+        ignore (Metrics.clustering_coefficient ~rng ~is_malicious g))
+  in
+  let budget = 5 * (Digraph.n g + Digraph.edge_count g) / 2 in
+  check_bool
+    (Printf.sprintf "clustering allocates %.0f words (budget %d)" words budget)
+    true
+    (words <= float_of_int budget)
+
 (* --- Isolation --- *)
 
 let isolation_cases () =
@@ -132,58 +322,6 @@ let isolation_cases () =
     (Isolation.is_isolated ~is_malicious:is_mal [| id 100; id 101 |]);
   check_bool "one correct saves" false
     (Isolation.is_isolated ~is_malicious:is_mal [| id 100; id 3 |])
-
-let isolation_count_fraction () =
-  let is_mal p = Node_id.to_int p >= 100 in
-  let views = function
-    | 0 -> [| id 100 |] (* isolated *)
-    | 1 -> [| id 2 |] (* fine *)
-    | _ -> [||] (* isolated *)
-  in
-  check_int "count" 2 (Isolation.count ~is_malicious:is_mal ~views ~correct:[ 0; 1; 2 ]);
-  check_float "fraction" (2.0 /. 3.0)
-    (Isolation.fraction ~is_malicious:is_mal ~views ~correct:[ 0; 1; 2 ]);
-  check_float "empty correct" 0.0
-    (Isolation.fraction ~is_malicious:is_mal ~views ~correct:[])
-
-(* --- Components --- *)
-
-let weak_components () =
-  (* Two weakly connected islands: {0,1} and {2}. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [||]; [||] |] in
-  let labels = Components.weakly_connected g in
-  check_int "two components" 2 (Components.count_components labels);
-  check_bool "0 and 1 together" true (labels.(0) = labels.(1));
-  check_bool "2 apart" true (labels.(2) <> labels.(0))
-
-let weak_restrict () =
-  (* Restricting away the bridge vertex splits the component. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [||] |] in
-  let labels = Components.weakly_connected ~restrict:(fun u -> u <> 1) g in
-  check_int "bridge removed" 2 (Components.count_components labels);
-  check_int "excluded labelled -1" (-1) labels.(1)
-
-let largest_fraction () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [||]; [||]; [||] |] in
-  check_float "2 of 4" 0.5 (Components.largest_component_fraction g)
-
-let scc_cycle () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [| 0 |] |] in
-  let labels = Components.strongly_connected g in
-  check_int "one scc" 1 (Components.count_components labels)
-
-let scc_dag () =
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 2 |]; [||] |] in
-  let labels = Components.strongly_connected g in
-  check_int "three sccs" 3 (Components.count_components labels)
-
-let scc_mixed () =
-  (* A 2-cycle {0,1} plus a tail 2 -> 0. *)
-  let g = Digraph.of_adjacency [| [| 1 |]; [| 0 |]; [| 0 |] |] in
-  let labels = Components.strongly_connected g in
-  check_int "two sccs" 2 (Components.count_components labels);
-  check_bool "cycle grouped" true (labels.(0) = labels.(1));
-  check_bool "tail separate" true (labels.(2) <> labels.(0))
 
 (* --- Generators --- *)
 
@@ -215,15 +353,17 @@ let generators_k_out () =
   for u = 0 to 99 do
     check_int "out-degree k" 8 (Digraph.out_degree g u)
   done;
-  (* k-out graphs are (overwhelmingly likely) weakly connected. *)
-  Alcotest.(check (float 1e-9)) "connected" 1.0
-    (Components.largest_component_fraction g);
+  (* k-out graphs are (overwhelmingly likely) strongly connected, so
+     every sampled source reaches the rest in a few hops. *)
+  let mpl = Metrics.mean_path_length ~rng:(gen_rng ()) ~is_malicious:no_malicious g in
+  check_bool (Printf.sprintf "finite short paths (%.2f)" mpl) true
+    (Float.is_finite mpl && mpl > 1.0 && mpl < 4.0);
   check_int "k clamps at n-1" 4 (Digraph.out_degree (Generators.k_out (gen_rng ()) ~n:5 ~k:10) 0)
 
 let generators_ring () =
   let g = Generators.ring (gen_rng ()) ~n:10 in
   check_int "edges" 10 (Digraph.edge_count g);
-  check_bool "is a cycle" true (Digraph.has_edge g 9 0);
+  check_bool "is a cycle" true (Array.mem 0 (Digraph.out_neighbors g 9));
   let mpl = Metrics.mean_path_length ~rng:(gen_rng ()) ~is_malicious:no_malicious g in
   (* Directed ring of n: mean distance = n/2 = 5. *)
   check_bool (Printf.sprintf "long paths (%.2f)" mpl) true (Float.abs (mpl -. 5.0) < 0.01);
@@ -249,28 +389,6 @@ let generators_preferential () =
     (Printf.sprintf "heavy tail (pa=%d vs kout=%d)" pa_max ko_max)
     true (pa_max > 2 * ko_max)
 
-module Check = Basalt_check.Check
-
-let prop_scc_refines_weak =
-  Check.prop ~name:"SCCs refine weak components" ~count:100
-    ~print:
-      Check.Print.(list (pair int int))
-    Check.Gen.(list ~max_len:30 (pair (nat ~max:9) (nat ~max:9)))
-    (fun edges ->
-      let adj = Array.make 10 [] in
-      List.iter (fun (u, v) -> adj.(u) <- v :: adj.(u)) edges;
-      let g = Digraph.of_adjacency (Array.map Array.of_list adj) in
-      let weak = Components.weakly_connected g in
-      let scc = Components.strongly_connected g in
-      (* Same SCC implies same weak component. *)
-      let ok = ref true in
-      for u = 0 to 9 do
-        for v = 0 to 9 do
-          if scc.(u) = scc.(v) && weak.(u) <> weak.(v) then ok := false
-        done
-      done;
-      !ok)
-
 let () =
   Alcotest.run "graph"
     [
@@ -279,10 +397,6 @@ let () =
           Alcotest.test_case "dedup/self-loop" `Quick digraph_dedup_selfloop;
           Alcotest.test_case "out of range" `Quick digraph_out_of_range;
           Alcotest.test_case "in-degrees" `Quick digraph_in_degrees;
-          Alcotest.test_case "transpose" `Quick digraph_transpose;
-          Alcotest.test_case "has_edge" `Quick digraph_has_edge;
-          Alcotest.test_case "undirected neighbors" `Quick
-            digraph_undirected_neighbors;
           Alcotest.test_case "of_views" `Quick digraph_of_views;
         ] );
       ( "metrics",
@@ -294,26 +408,16 @@ let () =
           Alcotest.test_case "path length chain" `Quick path_length_chain;
           Alcotest.test_case "paths skip malicious" `Quick
             path_length_skips_malicious;
-          Alcotest.test_case "reachable fraction" `Quick
-            reachable_fraction_cases;
           Alcotest.test_case "indegree metrics" `Quick indegree_metrics;
           Alcotest.test_case "indegree ignores malicious" `Quick
             indegree_ignores_malicious_edges;
+          Check.to_alcotest ~suite:"metrics" prop_kernels_match_naive;
+          Alcotest.test_case "clustering allocation bounded" `Quick
+            clustering_allocation_bounded;
         ] );
       ( "isolation",
         [
           Alcotest.test_case "cases" `Quick isolation_cases;
-          Alcotest.test_case "count/fraction" `Quick isolation_count_fraction;
-        ] );
-      ( "components",
-        [
-          Alcotest.test_case "weak components" `Quick weak_components;
-          Alcotest.test_case "weak restrict" `Quick weak_restrict;
-          Alcotest.test_case "largest fraction" `Quick largest_fraction;
-          Alcotest.test_case "scc cycle" `Quick scc_cycle;
-          Alcotest.test_case "scc dag" `Quick scc_dag;
-          Alcotest.test_case "scc mixed" `Quick scc_mixed;
-          Check.to_alcotest ~suite:"components" prop_scc_refines_weak;
         ] );
       ( "generators",
         [
